@@ -1,0 +1,95 @@
+"""Golden output pins for every CLI command.
+
+Each test runs one command on small fixed inputs and compares the SHA-256 of
+its output file (never the manifest, which records paths) with a pinned
+digest. A pin changes only in a commit whose purpose is a deliberate numeric
+change; that commit states the largest absolute and relative output
+difference in CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from proxycal.cli import main
+
+# Twelve domains with two context columns and a timestamp. Domain d07 is an
+# outlier whose proxy sits far above its primary estimate.
+HISTORY_HEADER = (
+    "domain_id,theta_hat,theta_star_hat,var_primary,var_proxy,cov_primary_proxy,"
+    "context_0,context_1,timestamp"
+)
+TARGET_CSV = (
+    "domain_id,theta_star_hat,var_proxy,context_0,context_1,timestamp\n"
+    "target,0.437,0.00013,0.25,-0.5,12.0\n"
+)
+TARGET_CONTEXT = "0.25,-0.5"
+
+SIM_CONFIG = """\
+n_domains = 4
+n_per_domain = 300
+kappa = 0.0,1.0
+replicates = 3
+seed = 5
+bootstrap_draws = 300
+workers = 1
+estimators = primary_only,proxy_only,ppi,ppi_weighted
+adjustments = none,plugin,bootstrap
+"""
+
+PINS = {
+    "fit": "25df978e73162bed4015af18af6bfb70397f49074319d9b9eeab513f14c3e10d",
+    "adjust-plugin": "b7572a11cba0f324ed5f1abbf81c5c190aaad71ecf05528b5287c8991ba863dc",
+    "adjust-bootstrap": "1af7b02993d28c9db483dbf251e15238581c52c352edc0c238aa4a189414ea50",
+    "loo": "7833335caa206a520298bcc6bc309e30faeb137d9c3d0f765720419a60a8b51e",
+    "tune-context": "1213154a309939bb4568cfcfc01a942ebde26e42717b4fc8995de4db9bc09b17",
+    "simulate": "c2f9da07117d366e02ee10792e2e00c8e355fe4af1ed308bce7a0fa0c4e51e16",
+}
+
+
+def _history_rows() -> list[str]:
+    rows = []
+    for i in range(12):
+        theta = 0.30 + 0.02 * ((7 * i) % 11)
+        bias = 0.015 + 0.004 * ((5 * i) % 7) + (0.2 if i == 7 else 0.0)
+        var_p = 1e-4 * (1 + (3 * i) % 5)
+        var_x = 5e-5 * (1 + (2 * i) % 3)
+        cov = 0.25 * min(var_p, var_x)
+        ctx0 = -1.0 + 0.2 * i
+        ctx1 = 0.5 - 0.1 * ((4 * i) % 9)
+        values = (theta, theta + bias, var_p, var_x, cov, ctx0, ctx1, float(i))
+        rows.append(",".join([f"d{i:02d}", *(repr(v) for v in values)]))
+    return rows
+
+
+@pytest.fixture
+def files(tmp_path):
+    history = tmp_path / "history.csv"
+    history.write_text(HISTORY_HEADER + "\n" + "\n".join(_history_rows()) + "\n")
+    target = tmp_path / "target.csv"
+    target.write_text(TARGET_CSV)
+    config = tmp_path / "sim.txt"
+    config.write_text(SIM_CONFIG)
+    return {"history": str(history), "target": str(target), "config": str(config),
+            "dir": tmp_path}
+
+
+COMMANDS = {
+    "fit": ["fit", "{history}"],
+    "adjust-plugin": ["adjust", "--history", "{history}", "--target", "{target}",
+                      "--method", "plugin"],
+    "adjust-bootstrap": ["adjust", "--history", "{history}", "--target", "{target}",
+                         "--method", "bootstrap", "--draws", "2000", "--seed", "11"],
+    "loo": ["loo", "{history}", "--alpha", "0.01,0.05,0.2",
+            "--method", "unadjusted,plugin,bootstrap", "--draws", "500", "--seed", "3"],
+    "tune-context": ["tune-context", "{history}", "--target-context", TARGET_CONTEXT],
+    "simulate": ["simulate", "{config}"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_output_digest_pinned(files, name, capsys):
+    out = files["dir"] / f"{name}.out"
+    argv = [a.format(**files) for a in COMMANDS[name]] + ["--out", str(out)]
+    assert main(argv) == 0, capsys.readouterr().err
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINS[name]
