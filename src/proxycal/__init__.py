@@ -32,6 +32,7 @@ from .dataio import TOOL_VERSION
 from .diagnostics import (
     intervals_overlap,
     loo_overlap_rate,
+    loo_table,
     normalized_width,
     overlap_curve,
 )
@@ -95,6 +96,7 @@ __all__ = [
     "gen_domain",
     "intervals_overlap",
     "loo_overlap_rate",
+    "loo_table",
     "mc_truth",
     "normal_quantile",
     "normalized_width",

@@ -15,14 +15,14 @@ from pathlib import Path
 
 from . import dataio
 from .contextual import (
+    best_beta,
     beta_profile,
     default_beta_grid,
     fit_weighted_mom,
     similarity_weights,
-    tune_beta,
 )
-from .core import fit_mom
-from .diagnostics import METHODS, loo_overlap_rate, normalized_width
+from .core import debias, fit_mom
+from .diagnostics import METHODS, loo_table
 from .intervals import (
     DEFAULT_BOOTSTRAP_DRAWS,
     domain_bootstrap_interval,
@@ -93,7 +93,7 @@ def _cmd_adjust(args: argparse.Namespace) -> int:
             history, target, args.alpha, draws=args.draws, seed=args.seed
         )
 
-    point = target.theta_star_hat - model.rho
+    point = debias(target, model)
     lines = [
         f"point = {point!r}",
         f"lower = {interval.lower!r}",
@@ -132,16 +132,13 @@ def _cmd_loo(args: argparse.Namespace) -> int:
         if m not in METHODS:
             raise dataio.SchemaError(f"unknown method {m!r}; choose from {METHODS}")
 
-    rows = []
-    for method in methods:
-        for alpha in alphas:
-            rate = loo_overlap_rate(
-                history, alpha, method, bootstrap_draws=args.draws, seed=args.seed
-            )
-            width = normalized_width(
-                history, alpha, method, bootstrap_draws=args.draws, seed=args.seed
-            )
-            rows.append((alpha, method, rate, width))
+    rows = [
+        (alpha, method, rate, width)
+        for method in methods
+        for alpha, rate, width in loo_table(
+            history, alphas, method, bootstrap_draws=args.draws, seed=args.seed
+        )
+    ]
 
     with Path(args.out).open("w", newline="") as fh:
         fh.write("alpha,method,overlap_rate,normalized_width\n")
@@ -193,7 +190,7 @@ def _cmd_tune_context(args: argparse.Namespace) -> int:
         raise dataio.SchemaError(f"{args.history}: context_* columns required for tuning")
 
     profile = beta_profile(history, target_context, grid)
-    beta_star, ll_star = tune_beta(history, target_context, grid)
+    beta_star, ll_star = best_beta(profile)
     weights = similarity_weights([r.context for r in history], target_context, beta_star)
     model = fit_weighted_mom(history, weights)
     _emit_model_warnings(model)

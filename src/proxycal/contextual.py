@@ -15,14 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (
-    WARN_GAMMA2_TRUNCATED,
-    WARN_INSUFFICIENT_DOMAINS,
-    BiasModel,
-    DomainRecord,
-    TargetRecord,
-    diff_stats,
-)
+from .core import BiasModel, DomainRecord, TargetRecord, _bias_model, diff_arrays
 from .intervals import ConfidenceInterval, plugin_interval
 
 # Domains below this weight are dropped from the likelihood; under the weight
@@ -113,32 +106,7 @@ def fit_weighted_mom(history: list[DomainRecord], weights: ContextWeights) -> Bi
         raise ValueError(
             f"got {len(weights.weights)} weights for {len(history)} history records"
         )
-    if not history:
-        raise ValueError("fit_weighted_mom requires a non-empty history")
-    stats = [diff_stats(r) for r in history]
-    d = np.array([s[0] for s in stats])
-    dv = np.array([s[1] for s in stats])
-    w = np.asarray(weights.weights)
-
-    rho = float(w @ d)
-    flags: list[str] = []
-    if len(history) == 1:
-        gamma2 = 0.0
-        flags.append(WARN_INSUFFICIENT_DOMAINS)
-    else:
-        raw = float(w @ (d - rho) ** 2 - w @ dv)
-        gamma2 = max(0.0, raw)
-        if raw < 0.0:
-            flags.append(WARN_GAMMA2_TRUNCATED)
-
-    return BiasModel(
-        rho=rho,
-        gamma2=gamma2,
-        n_domains=len(history),
-        diffs=tuple(float(x) for x in d),
-        diff_vars=tuple(float(x) for x in dv),
-        warnings=tuple(flags),
-    )
+    return _bias_model(*diff_arrays(history), np.asarray(weights.weights))
 
 
 def _history_contexts(history: list[DomainRecord]) -> list[tuple[float, ...]]:
@@ -175,9 +143,7 @@ def beta_profile(
     if len(history) < 2:
         raise ValueError("bandwidth tuning requires at least 2 history records")
     ctxs = _history_contexts(history)
-    stats = [diff_stats(r) for r in history]
-    d = np.array([s[0] for s in stats])
-    dv = np.array([s[1] for s in stats])
+    d, dv = diff_arrays(history)
 
     profile = []
     for beta in beta_grid:
@@ -187,10 +153,15 @@ def beta_profile(
             # all-zero similarity at this bandwidth: degenerate, not fatal
             profile.append((beta, -math.inf))
             continue
-        rho = float(w @ d)
-        gamma2 = max(0.0, float(w @ (d - rho) ** 2 - w @ dv))
-        profile.append((beta, _weighted_loglik(d, dv, w, rho, gamma2)))
+        model = _bias_model(d, dv, w)
+        profile.append((beta, _weighted_loglik(d, dv, w, model.rho, model.gamma2)))
     return profile
+
+
+def best_beta(profile: list[tuple[float, float]]) -> tuple[float, float]:
+    """Profile entry ``(beta, loglik)`` with the largest loglik; ties go to the first."""
+    best = max(range(len(profile)), key=lambda i: (profile[i][1], -i))
+    return profile[best]
 
 
 def tune_beta(
@@ -202,9 +173,7 @@ def tune_beta(
 
     Ties resolve to the first grid point attaining the maximum.
     """
-    profile = beta_profile(history, target_context, beta_grid)
-    best = max(range(len(profile)), key=lambda i: (profile[i][1], -i))
-    return profile[best]
+    return best_beta(beta_profile(history, target_context, beta_grid))
 
 
 def default_beta_grid(num: int = 41) -> list[float]:

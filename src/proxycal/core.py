@@ -128,6 +128,52 @@ def diff_stats(record: DomainRecord) -> tuple[float, float]:
     return d, max(0.0, diff_var)
 
 
+def diff_arrays(history: list[DomainRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """Per-domain differences and their sampling variances (:func:`diff_stats`) as arrays."""
+    stats = [diff_stats(r) for r in history]
+    return np.array([s[0] for s in stats]), np.array([s[1] for s in stats])
+
+
+def _moments(d: np.ndarray, dv: np.ndarray, w: np.ndarray | None = None):
+    """``(rho, gamma2 before truncation)`` of the moment fit along the last axis.
+
+    Leading axes of ``d`` (differences) and ``dv`` (their variances) index
+    independent fits. A 1-D weight vector ``w`` summing to one replaces the
+    plain means.
+    """
+    if w is None:
+        rho = d.mean(axis=-1)
+        return rho, ((d - rho[..., None]) ** 2).mean(axis=-1) - dv.mean(axis=-1)
+    rho = w @ d
+    return rho, w @ (d - rho) ** 2 - w @ dv
+
+
+def _truncate(gamma2_raw):
+    """Between-domain variance: the raw moment estimate clipped at zero."""
+    return np.maximum(gamma2_raw, 0.0)
+
+
+def _bias_model(d: np.ndarray, dv: np.ndarray, w: np.ndarray | None = None) -> BiasModel:
+    """:class:`BiasModel` of the moment fit on 1-D arrays, truncated and flagged."""
+    rho, raw = _moments(d, dv, w)
+    flags: list[str] = []
+    if len(d) == 1:
+        gamma2 = 0.0
+        flags.append(WARN_INSUFFICIENT_DOMAINS)
+    else:
+        gamma2 = float(_truncate(raw))
+        if raw < 0.0:
+            flags.append(WARN_GAMMA2_TRUNCATED)
+    return BiasModel(
+        rho=float(rho),
+        gamma2=gamma2,
+        n_domains=len(d),
+        diffs=tuple(d.tolist()),
+        diff_vars=tuple(dv.tolist()),
+        warnings=tuple(flags),
+    )
+
+
 def fit_mom(history: list[DomainRecord]) -> BiasModel:
     """Method-of-moments fit of the bias distribution from historical records.
 
@@ -139,29 +185,7 @@ def fit_mom(history: list[DomainRecord]) -> BiasModel:
     """
     if not history:
         raise ValueError("fit_mom requires a non-empty history")
-    stats = [diff_stats(r) for r in history]
-    d = np.array([s[0] for s in stats])
-    dv = np.array([s[1] for s in stats])
-
-    rho = float(d.mean())
-    flags: list[str] = []
-    if len(history) == 1:
-        gamma2 = 0.0
-        flags.append(WARN_INSUFFICIENT_DOMAINS)
-    else:
-        raw = float(((d - rho) ** 2).mean() - dv.mean())
-        gamma2 = max(0.0, raw)
-        if raw < 0.0:
-            flags.append(WARN_GAMMA2_TRUNCATED)
-
-    return BiasModel(
-        rho=rho,
-        gamma2=gamma2,
-        n_domains=len(history),
-        diffs=tuple(float(x) for x in d),
-        diff_vars=tuple(float(x) for x in dv),
-        warnings=tuple(flags),
-    )
+    return _bias_model(*diff_arrays(history))
 
 
 def debias(target: TargetRecord, model: BiasModel) -> float:

@@ -13,6 +13,7 @@ import csv
 import hashlib
 import itertools
 import json
+import math
 from dataclasses import asdict
 from pathlib import Path
 
@@ -60,11 +61,14 @@ class SchemaError(ValueError):
 
 def _parse_float(value: str, path: str, row: int, column: str) -> float:
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise SchemaError(
             f"{path}: row {row}, column {column!r}: cannot parse {value!r} as a number"
         ) from None
+    if not math.isfinite(number):
+        raise SchemaError(f"{path}: row {row}, column {column!r}: {value!r} is not finite")
+    return number
 
 
 def _read_table(path: str | Path, required: tuple[str, ...]) -> tuple[list[dict], list[str], str | None]:
@@ -113,21 +117,10 @@ def load_history(path: str | Path) -> list[DomainRecord]:
             raise SchemaError(f"{path}: duplicate domain_id {domain_id!r} at row {i}")
         seen.add(domain_id)
         context, timestamp = _row_extras(row, context_cols, ts_col, str(path), i)
+        # the numeric columns are named after the record fields they fill
+        fields = {c: _parse_float(row[c], str(path), i, c) for c in HISTORY_COLUMNS[1:]}
         try:
-            records.append(
-                DomainRecord(
-                    domain_id=domain_id,
-                    theta_hat=_parse_float(row["theta_hat"], str(path), i, "theta_hat"),
-                    theta_star_hat=_parse_float(row["theta_star_hat"], str(path), i, "theta_star_hat"),
-                    var_primary=_parse_float(row["var_primary"], str(path), i, "var_primary"),
-                    var_proxy=_parse_float(row["var_proxy"], str(path), i, "var_proxy"),
-                    cov_primary_proxy=_parse_float(
-                        row["cov_primary_proxy"], str(path), i, "cov_primary_proxy"
-                    ),
-                    context=context,
-                    timestamp=timestamp,
-                )
-            )
+            records.append(DomainRecord(domain_id, **fields, context=context, timestamp=timestamp))
         except InvalidRecordError as exc:
             raise SchemaError(f"{path}: row {i}: {exc}") from None
     return records
@@ -140,14 +133,9 @@ def load_target(path: str | Path) -> TargetRecord:
         raise SchemaError(f"{path}: expected exactly 1 target row, found {len(rows)}")
     row = rows[0]
     context, timestamp = _row_extras(row, context_cols, ts_col, str(path), 2)
+    fields = {c: _parse_float(row[c], str(path), 2, c) for c in TARGET_COLUMNS[1:]}
     try:
-        return TargetRecord(
-            domain_id=row["domain_id"],
-            theta_star_hat=_parse_float(row["theta_star_hat"], str(path), 2, "theta_star_hat"),
-            var_proxy=_parse_float(row["var_proxy"], str(path), 2, "var_proxy"),
-            context=context,
-            timestamp=timestamp,
-        )
+        return TargetRecord(row["domain_id"], **fields, context=context, timestamp=timestamp)
     except InvalidRecordError as exc:
         raise SchemaError(f"{path}: row 2: {exc}") from None
 
@@ -178,7 +166,10 @@ def _parse_kv(path: str | Path) -> dict[str, str]:
         if "=" not in stripped:
             raise SchemaError(f"{path}: line {lineno}: expected 'key = value'")
         key, _, value = stripped.partition("=")
-        pairs[key.strip()] = value.strip()
+        key = key.strip()
+        if key in pairs:
+            raise SchemaError(f"{path}: line {lineno}: duplicate key {key!r}")
+        pairs[key] = value.strip()
     return pairs
 
 
@@ -218,32 +209,21 @@ def load_sim_configs(path: str | Path) -> list[SimConfig]:
     kwargs: dict = {}
     grids: dict[str, list] = {}
     for key, value in pairs.items():
-        if key in _GRID_KEYS:
-            parts = [p for p in value.split(",") if p.strip()]
-            if not parts:
-                raise SchemaError(f"{path}: empty value for {key!r}")
-            caster = int if key in _INT_KEYS else float
-            try:
-                grids[key] = [caster(p.strip()) for p in parts]
-            except ValueError:
-                raise SchemaError(f"{path}: cannot parse {key} value {value!r}") from None
-        elif key == "mu_target":
-            try:
+        caster = int if key in _INT_KEYS else float
+        parts = [p.strip() for p in value.split(",") if p.strip()]
+        if key in _GRID_KEYS and not parts:
+            raise SchemaError(f"{path}: empty value for {key!r}")
+        try:
+            if key in _GRID_KEYS:
+                grids[key] = [caster(p) for p in parts]
+            elif key == "mu_target":
                 kwargs[key] = tuple(float(p) for p in value.split(","))
-            except ValueError:
-                raise SchemaError(f"{path}: cannot parse mu_target {value!r}") from None
-        elif key in ("estimators", "adjustments"):
-            kwargs[key] = tuple(p.strip() for p in value.split(",") if p.strip())
-        elif key in _INT_KEYS:
-            try:
-                kwargs[key] = int(value)
-            except ValueError:
-                raise SchemaError(f"{path}: cannot parse {key} value {value!r}") from None
-        else:
-            try:
-                kwargs[key] = float(value)
-            except ValueError:
-                raise SchemaError(f"{path}: cannot parse {key} value {value!r}") from None
+            elif key in ("estimators", "adjustments"):
+                kwargs[key] = tuple(parts)
+            else:
+                kwargs[key] = caster(value)
+        except ValueError:
+            raise SchemaError(f"{path}: cannot parse {key} value {value!r}") from None
 
     for key in _GRID_KEYS:
         if key not in grids:

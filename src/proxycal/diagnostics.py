@@ -10,17 +10,22 @@ construction methods.
 
 from __future__ import annotations
 
+import numpy as np
+
 from ._rng import derive_seed
-from .core import DomainRecord, TargetRecord, fit_mom
+from .core import DomainRecord, TargetRecord, _bias_model, diff_arrays
 from .intervals import (
     DEFAULT_BOOTSTRAP_DRAWS,
     ConfidenceInterval,
-    domain_bootstrap_interval,
+    _bootstrap_draws,
+    _quantile_interval,
     plugin_interval,
     wald_interval,
 )
 
 METHODS = ("unadjusted", "plugin", "bootstrap")
+
+_Pairs = list[tuple[ConfidenceInterval, ConfidenceInterval]]
 
 
 def intervals_overlap(a: ConfidenceInterval, b: ConfidenceInterval) -> bool:
@@ -35,41 +40,52 @@ def _check_method(method: str) -> None:
 
 def _loo_interval_pairs(
     history: list[DomainRecord],
-    alpha: float,
+    alphas: list[float],
     method: str,
     bootstrap_draws: int,
     seed: int,
-) -> list[tuple[ConfidenceInterval, ConfidenceInterval]]:
-    """(proxy interval, primary interval) for each held-out domain.
+) -> list[_Pairs]:
+    """(proxy interval, primary interval) of each held-out domain, per alpha.
 
-    The held-out domain contributes only its proxy fields to the proxy-side
-    interval; its primary estimate feeds the comparison interval alone.
+    Each held-out domain's model is fit, or its bootstrap replicates drawn,
+    once for every alpha. It contributes only its proxy fields to the
+    proxy-side interval; its primary estimate feeds the comparison interval
+    alone.
     """
     _check_method(method)
     if len(history) < 2:
         raise ValueError("leave-one-out diagnostics require at least 2 history records")
 
-    pairs = []
+    d, dv = diff_arrays(history)
+    pairs: list[_Pairs] = [[] for _ in alphas]
     for k, rec in enumerate(history):
-        rest = history[:k] + history[k + 1 :]
-        held_out = TargetRecord(
-            domain_id=rec.domain_id,
-            theta_star_hat=rec.theta_star_hat,
-            var_proxy=rec.var_proxy,
-            context=rec.context,
-            timestamp=rec.timestamp,
-        )
+        primary = [wald_interval(rec.theta_hat, rec.var_primary, alpha) for alpha in alphas]
+        held_out = TargetRecord(rec.domain_id, rec.theta_star_hat, rec.var_proxy)
         if method == "unadjusted":
-            proxy_iv = wald_interval(held_out.theta_star_hat, held_out.var_proxy, alpha)
+            proxy = [wald_interval(rec.theta_star_hat, rec.var_proxy, alpha) for alpha in alphas]
         elif method == "plugin":
-            proxy_iv = plugin_interval(held_out, fit_mom(rest), alpha)
+            model = _bias_model(np.delete(d, k), np.delete(dv, k))
+            proxy = [plugin_interval(held_out, model, alpha) for alpha in alphas]
         else:
-            proxy_iv = domain_bootstrap_interval(
-                rest, held_out, alpha, draws=bootstrap_draws, seed=derive_seed(seed, k)
+            samples = _bootstrap_draws(
+                np.delete(d, k), np.delete(dv, k), held_out, bootstrap_draws, derive_seed(seed, k)
             )
-        primary_iv = wald_interval(rec.theta_hat, rec.var_primary, alpha)
-        pairs.append((proxy_iv, primary_iv))
+            proxy = [_quantile_interval(samples, alpha) for alpha in alphas]
+        for out, p, q in zip(pairs, proxy, primary):
+            out.append((p, q))
     return pairs
+
+
+def _overlap_rate(pairs: _Pairs) -> float:
+    return sum(intervals_overlap(p, q) for p, q in pairs) / len(pairs)
+
+
+def _width_ratio(pairs: _Pairs) -> float:
+    proxy_mean = sum(p.width for p, _ in pairs) / len(pairs)
+    primary_mean = sum(q.width for _, q in pairs) / len(pairs)
+    if primary_mean == 0.0:
+        raise ValueError("primary intervals have zero mean width (degenerate variances)")
+    return proxy_mean / primary_mean
 
 
 def loo_overlap_rate(
@@ -80,8 +96,7 @@ def loo_overlap_rate(
     seed: int = 0,
 ) -> float:
     """Fraction of held-out domains whose proxy interval meets their primary interval."""
-    pairs = _loo_interval_pairs(history, alpha, method, bootstrap_draws, seed)
-    return sum(intervals_overlap(p, q) for p, q in pairs) / len(pairs)
+    return _overlap_rate(_loo_interval_pairs(history, [alpha], method, bootstrap_draws, seed)[0])
 
 
 def overlap_curve(
@@ -92,10 +107,8 @@ def overlap_curve(
     seed: int = 0,
 ) -> list[tuple[float, float]]:
     """Overlap rate evaluated at each alpha, as (alpha, rate) pairs."""
-    return [
-        (alpha, loo_overlap_rate(history, alpha, method, bootstrap_draws, seed))
-        for alpha in alphas
-    ]
+    passes = _loo_interval_pairs(history, alphas, method, bootstrap_draws, seed)
+    return [(alpha, _overlap_rate(pairs)) for alpha, pairs in zip(alphas, passes)]
 
 
 def normalized_width(
@@ -106,9 +119,16 @@ def normalized_width(
     seed: int = 0,
 ) -> float:
     """Mean held-out proxy interval width over mean primary interval width."""
-    pairs = _loo_interval_pairs(history, alpha, method, bootstrap_draws, seed)
-    proxy_mean = sum(p.width for p, _ in pairs) / len(pairs)
-    primary_mean = sum(q.width for _, q in pairs) / len(pairs)
-    if primary_mean == 0.0:
-        raise ValueError("primary intervals have zero mean width (degenerate variances)")
-    return proxy_mean / primary_mean
+    return _width_ratio(_loo_interval_pairs(history, [alpha], method, bootstrap_draws, seed)[0])
+
+
+def loo_table(
+    history: list[DomainRecord],
+    alphas: list[float],
+    method: str = "plugin",
+    bootstrap_draws: int = DEFAULT_BOOTSTRAP_DRAWS,
+    seed: int = 0,
+) -> list[tuple[float, float, float]]:
+    """(alpha, overlap rate, normalized width) at each alpha, from one held-out pass."""
+    passes = _loo_interval_pairs(history, alphas, method, bootstrap_draws, seed)
+    return [(a, _overlap_rate(pairs), _width_ratio(pairs)) for a, pairs in zip(alphas, passes)]

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from ._rng import BLOCK, uniform_block
-from .core import BiasModel, DomainRecord, TargetRecord, debias, diff_stats
+from .core import BiasModel, DomainRecord, TargetRecord, _moments, _truncate, debias, diff_arrays
 
 DEFAULT_BOOTSTRAP_DRAWS = 4000
 
@@ -101,15 +101,32 @@ def _bootstrap_samples(
     u = uniform_block(seed, _BOOT_PATH, start * stride, (stop - start) * stride)
     u = u.reshape(stop - start, stride)
 
-    idx = np.minimum((u[:, :m] * m).astype(np.intp), m - 1)
-    d_res = d[idx]
-    rho_b = d_res.mean(axis=1)
-    gamma2_b = ((d_res - rho_b[:, None]) ** 2).mean(axis=1) - dv[idx].mean(axis=1)
-    np.maximum(gamma2_b, 0.0, out=gamma2_b)
-
     # shift keeps the uniform strictly inside (0, 1) for the inverse CDF
     z = ndtri(u[:, m] + 2.0 ** -54)
-    return (target.theta_star_hat - rho_b) + np.sqrt(target.var_proxy + gamma2_b) * z
+    idx = np.minimum((u[:, :m] * m).astype(np.intp), m - 1)
+    # the uniforms go before the resampled arrays exist, bounding peak memory
+    del u
+    rho_b, gamma2_b = _moments(d[idx], dv[idx])
+    return (target.theta_star_hat - rho_b) + np.sqrt(target.var_proxy + _truncate(gamma2_b)) * z
+
+
+def _bootstrap_draws(
+    d: np.ndarray, dv: np.ndarray, target: TargetRecord, draws: int, seed: int
+) -> np.ndarray:
+    """All ``draws`` bootstrap replicates, materialized chunk by chunk."""
+    if draws < 2:
+        raise ValueError(f"draws must be >= 2, got {draws}")
+    samples = np.empty(draws)
+    for start in range(0, draws, _BOOT_CHUNK):
+        stop = min(start + _BOOT_CHUNK, draws)
+        samples[start:stop] = _bootstrap_samples(d, dv, target, seed, start, stop)
+    return samples
+
+
+def _quantile_interval(samples: np.ndarray, alpha: float) -> ConfidenceInterval:
+    """Empirical ``alpha/2`` and ``1 - alpha/2`` quantiles of bootstrap replicates."""
+    lower, upper = np.quantile(samples, [alpha / 2.0, 1.0 - alpha / 2.0])
+    return ConfidenceInterval(float(lower), float(upper), 1.0 - alpha)
 
 
 def domain_bootstrap_interval(
@@ -131,17 +148,5 @@ def domain_bootstrap_interval(
     _check_alpha(alpha)
     if not history:
         raise ValueError("domain_bootstrap_interval requires a non-empty history")
-    if draws < 2:
-        raise ValueError(f"draws must be >= 2, got {draws}")
-
-    stats = [diff_stats(r) for r in history]
-    d = np.array([s[0] for s in stats])
-    dv = np.array([s[1] for s in stats])
-
-    samples = np.empty(draws)
-    for start in range(0, draws, _BOOT_CHUNK):
-        stop = min(start + _BOOT_CHUNK, draws)
-        samples[start:stop] = _bootstrap_samples(d, dv, target, seed, start, stop)
-
-    lower, upper = np.quantile(samples, [alpha / 2.0, 1.0 - alpha / 2.0])
-    return ConfidenceInterval(float(lower), float(upper), 1.0 - alpha)
+    d, dv = diff_arrays(history)
+    return _quantile_interval(_bootstrap_draws(d, dv, target, draws, seed), alpha)

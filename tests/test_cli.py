@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from proxycal import DomainRecord, fit_mom, loo_overlap_rate, normalized_width
+from proxycal import BiasModel, DomainRecord, fit_mom, loo_overlap_rate, normalized_width
 from proxycal.cli import main
 from proxycal.dataio import (
     SchemaError,
@@ -72,6 +72,18 @@ class TestHistoryLoading:
         with pytest.raises(SchemaError, match="weird"):
             load_history(path)
 
+    @pytest.mark.parametrize("column, value", [("context_x", "nan"), ("timestamp", "inf"),
+                                               ("theta_hat", "-inf")])
+    def test_non_finite_value_located(self, tmp_path, column, value):
+        header = HISTORY_HEADER + ",context_x,timestamp"
+        fields = dict(zip(header.split(","), "a,0.5,0.6,0.01,0.01,0.0,1.5,100".split(",")))
+        fields[column] = value
+        path = history_csv(tmp_path, ["b,0.5,0.6,0.01,0.01,0.0,0.5,90", ",".join(fields.values())],
+                           header=header)
+        with pytest.raises(SchemaError, match=rf"h.*\.csv: row 3, column '{column}'.*not finite"):
+            load_history(path)
+        assert main(["fit", str(path), "--out", str(tmp_path / "m.txt")]) == 2
+
     def test_empty_file_and_no_rows(self, tmp_path):
         with pytest.raises(SchemaError):
             load_history(write(tmp_path / "e.csv", ""))
@@ -85,6 +97,19 @@ class TestTargetLoading:
                      "domain_id,theta_star_hat,var_proxy\ntarget,0.5,0.0004\n")
         target = load_target(path)
         assert target.theta_star_hat == 0.5
+
+    @pytest.mark.parametrize("context, timestamp", [("nan", "1.0"), ("0.1", "-inf")])
+    def test_non_finite_context_or_timestamp_located(self, tmp_path, capsys, context, timestamp):
+        path = write(tmp_path / "t.csv", "domain_id,theta_star_hat,var_proxy,context_x,timestamp\n"
+                     f"t,0.5,0.0004,{context},{timestamp}\n")
+        column = "context_x" if context == "nan" else "timestamp"
+        with pytest.raises(SchemaError, match=rf"t\.csv: row 2, column '{column}'.*not finite"):
+            load_target(path)
+        model = tmp_path / "model.txt"
+        write_model(model, fit_mom([DomainRecord("d", 0.5, 0.6, 0.01, 0.01, 0.0)]))
+        assert main(["adjust", "--model", str(model), "--target", str(path),
+                     "--out", str(tmp_path / "i.txt")]) == 2
+        assert column in capsys.readouterr().err
 
     def test_multiple_rows_rejected(self, tmp_path):
         path = write(tmp_path / "t.csv",
@@ -106,6 +131,17 @@ class TestModelFile:
     def test_rejects_foreign_file(self, tmp_path):
         with pytest.raises(SchemaError):
             load_model(write(tmp_path / "m.txt", "something = else\n"))
+
+    def test_duplicate_key_rejected(self, tmp_path, capsys):
+        path = tmp_path / "model.txt"
+        write_model(path, BiasModel(0.02, 0.0005, 3, (0.02,) * 3, (0.0,) * 3))
+        path.write_text(path.read_text() + "rho = 0.5\n")
+        with pytest.raises(SchemaError, match=r"model\.txt: line 8: duplicate key 'rho'"):
+            load_model(path)
+        code = main(["adjust", "--model", str(path), "--target", str(target_csv(tmp_path)),
+                     "--out", str(tmp_path / "i.txt")])
+        assert code == 2
+        assert "duplicate key 'rho'" in capsys.readouterr().err
 
 
 class TestSimConfigFile:
@@ -144,6 +180,21 @@ class TestSimConfigFile:
         path = write(tmp_path / "cfg.txt", "n_domains = 5\n")
         with pytest.raises(SchemaError, match="n_per_domain"):
             load_sim_configs(path)
+
+    def test_duplicate_key_rejected(self, tmp_path, capsys):
+        path = write(tmp_path / "cfg.txt", "n_domains = 5\n# comment\nn_per_domain = 10\n"
+                     "n_domains = 6\n")
+        with pytest.raises(SchemaError, match=r"cfg\.txt: line 4: duplicate key 'n_domains'"):
+            load_sim_configs(path)
+        assert main(["simulate", str(path), "--out", str(tmp_path / "r.csv")]) == 2
+        assert "duplicate key 'n_domains'" in capsys.readouterr().err
+
+    def test_unparseable_value_named(self, tmp_path):
+        for line in ("kappa = 0.0,x", "mu_target = 0.5,,0.5,0.5", "replicates = 2.5"):
+            path = write(tmp_path / "cfg.txt", f"n_domains = 5\nn_per_domain = 10\n{line}\n")
+            key = line.split(" = ")[0]
+            with pytest.raises(SchemaError, match=f"cannot parse {key} value"):
+                load_sim_configs(path)
 
 
 class TestCliFit:
@@ -277,6 +328,24 @@ class TestCliLoo:
         hist = history_csv(tmp_path, [THREE_ROWS[0]])
         assert main(["loo", str(hist), "--out", str(tmp_path / "loo.csv")]) == 2
 
+    def test_one_held_out_pass_per_method(self, tmp_path, monkeypatch):
+        import proxycal.diagnostics as diagnostics
+
+        passes = []
+        original = diagnostics._loo_interval_pairs
+
+        def counted(history, alphas, method, *args):
+            passes.append((method, tuple(alphas)))
+            return original(history, alphas, method, *args)
+
+        monkeypatch.setattr(diagnostics, "_loo_interval_pairs", counted)
+        hist = history_csv(tmp_path, THREE_ROWS)
+        out = tmp_path / "loo.csv"
+        assert main(["loo", str(hist), "--alpha", "0.01,0.05,0.2", "--method",
+                     "unadjusted,plugin,bootstrap", "--draws", "200", "--out", str(out)]) == 0
+        assert passes == [(m, (0.01, 0.05, 0.2)) for m in ("unadjusted", "plugin", "bootstrap")]
+        assert len(out.read_text().splitlines()) == 1 + 3 * 3
+
 
 SMOKE_CONFIG = "\n".join([
     "n_domains = 5",
@@ -346,6 +415,28 @@ class TestCliTuneContext:
         weights = similarity_weights([r.context for r in records], (0.0,), beta_star)
         assert sum(weights.weights[:5]) > 0.9
         assert len(vals["grid_logliks"].split(",")) == 41
+
+    def test_profile_computed_once(self, tmp_path, monkeypatch):
+        import proxycal.cli
+        import proxycal.contextual
+
+        calls = []
+        original = proxycal.contextual.beta_profile
+
+        def counted(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(proxycal.cli, "beta_profile", counted)
+        monkeypatch.setattr(proxycal.contextual, "beta_profile", counted)
+        hist = self.make_history(tmp_path)
+        out = tmp_path / "tune.txt"
+        assert main(["tune-context", str(hist), "--target-context", "0.0",
+                     "--out", str(out)]) == 0
+        assert len(calls) == 1
+        vals = parse_kv(out)
+        logliks = [float(x) for x in vals["grid_logliks"].split(",")]
+        assert float(vals["loglik_star"]) == max(logliks)
 
     def test_missing_context_exit_2(self, tmp_path, capsys):
         hist = history_csv(tmp_path, THREE_ROWS)

@@ -201,3 +201,46 @@ class TestBiasModelValidation:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             BiasModel(0.0, 0.0, 2, (0.0,), (0.0, 0.0))
+
+
+class TestMomentKernel:
+    """The private kernel every fit shares: batches equal row-by-row calls exactly."""
+
+    def arrays(self, k=37, seed=4):
+        rng = np.random.default_rng(seed)
+        d = rng.normal(0.02, 0.05, k)
+        d[5] += 3.0  # one outlier domain
+        return d, rng.uniform(1e-5, 4e-3, k)
+
+    def assert_rows_equal(self, d_rows, dv_rows):
+        from proxycal.core import _moments
+
+        rho, raw = _moments(d_rows, dv_rows)
+        rows = [_moments(dr, dvr) for dr, dvr in zip(d_rows, dv_rows)]
+        assert np.array_equal(rho, [r for r, _ in rows])
+        assert np.array_equal(raw, [g for _, g in rows])
+
+    def test_bootstrap_resample_rows(self):
+        d, dv = self.arrays()
+        idx = np.random.default_rng(9).integers(0, len(d), size=(200, len(d)))
+        self.assert_rows_equal(d[idx], dv[idx])
+
+    def test_leave_one_out_rows(self):
+        d, dv = self.arrays()
+        keep = ~np.eye(len(d), dtype=bool)
+        self.assert_rows_equal(
+            np.array([d[m] for m in keep]), np.array([dv[m] for m in keep])
+        )
+
+    def test_one_dimensional_arithmetic(self):
+        from proxycal.core import _moments
+
+        d, dv = self.arrays()
+        rho, raw = _moments(d, dv)
+        assert rho == d.mean()
+        assert raw == ((d - float(d.mean())) ** 2).mean() - dv.mean()
+        w = np.random.default_rng(2).uniform(size=len(d))
+        w /= w.sum()
+        rho_w, raw_w = _moments(d, dv, w)
+        assert rho_w == w @ d
+        assert raw_w == w @ (d - float(w @ d)) ** 2 - w @ dv

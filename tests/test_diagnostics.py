@@ -6,12 +6,18 @@ import pytest
 from proxycal import (
     ConfidenceInterval,
     DomainRecord,
+    TargetRecord,
+    domain_bootstrap_interval,
+    fit_mom,
     intervals_overlap,
     loo_overlap_rate,
+    loo_table,
     normalized_width,
     overlap_curve,
+    plugin_interval,
     wald_interval,
 )
+from proxycal._rng import derive_seed
 
 Z975 = 1.959963984540054
 
@@ -122,8 +128,8 @@ class TestLooOverlapRate:
                                    history[1].var_primary, history[1].var_proxy,
                                    history[1].cov_primary_proxy)
         for method in ("unadjusted", "plugin", "bootstrap"):
-            base = _loo_interval_pairs(history, 0.05, method, 2000, 7)
-            poisn = _loo_interval_pairs(poisoned, 0.05, method, 2000, 7)
+            (base,) = _loo_interval_pairs(history, [0.05], method, 2000, 7)
+            (poisn,) = _loo_interval_pairs(poisoned, [0.05], method, 2000, 7)
             # domain 1's own proxy interval is built without its primary estimate
             assert base[1][0] == poisn[1][0]
             # its primary comparison interval of course moves
@@ -220,7 +226,69 @@ def test_primary_interval_is_plain_wald():
     from proxycal.diagnostics import _loo_interval_pairs
 
     history = biased_trio()
-    pairs = _loo_interval_pairs(history, 0.05, "plugin", 1000, 0)
+    (pairs,) = _loo_interval_pairs(history, [0.05], "plugin", 1000, 0)
     for record, (_, primary) in zip(history, pairs):
         ref = wald_interval(record.theta_hat, record.var_primary, 0.05)
         assert (primary.lower, primary.upper) == (ref.lower, ref.upper)
+
+
+def per_alpha_refit(history, alpha, method, draws, seed):
+    """Reference: rebuild the remaining records and refit for every held-out domain."""
+    pairs = []
+    for k, rec in enumerate(history):
+        rest = history[:k] + history[k + 1 :]
+        held_out = TargetRecord(rec.domain_id, rec.theta_star_hat, rec.var_proxy)
+        if method == "unadjusted":
+            proxy = wald_interval(rec.theta_star_hat, rec.var_proxy, alpha)
+        elif method == "plugin":
+            proxy = plugin_interval(held_out, fit_mom(rest), alpha)
+        else:
+            proxy = domain_bootstrap_interval(
+                rest, held_out, alpha, draws=draws, seed=derive_seed(seed, k)
+            )
+        pairs.append((proxy, wald_interval(rec.theta_hat, rec.var_primary, alpha)))
+    rate = sum(intervals_overlap(p, q) for p, q in pairs) / len(pairs)
+    width = (sum(p.width for p, _ in pairs) / len(pairs)) / (
+        sum(q.width for _, q in pairs) / len(pairs)
+    )
+    return rate, width
+
+
+def outlier_history(k=9):
+    rng = np.random.default_rng(17)
+    return [
+        DomainRecord(f"d{i}", 0.4, 0.4 + rng.normal(0.02, 0.01) + (0.5 if i == 3 else 0.0),
+                     rng.uniform(1e-4, 4e-4), rng.uniform(1e-4, 4e-4), 0.0)
+        for i in range(k)
+    ]
+
+
+class TestSinglePass:
+    ALPHAS = [0.01, 0.05, 0.2, 0.5]
+
+    @pytest.mark.parametrize("method", ["unadjusted", "plugin", "bootstrap"])
+    @pytest.mark.parametrize("history", [outlier_history(), biased_trio()], ids=["outlier", "trio"])
+    def test_equals_per_alpha_refits(self, history, method):
+        table = loo_table(history, self.ALPHAS, method, bootstrap_draws=600, seed=11)
+        for (alpha, rate, width), ref_alpha in zip(table, self.ALPHAS):
+            assert alpha == ref_alpha
+            assert (rate, width) == per_alpha_refit(history, alpha, method, 600, 11)
+            assert rate == loo_overlap_rate(history, alpha, method, 600, 11)
+            assert width == normalized_width(history, alpha, method, 600, 11)
+        curve = overlap_curve(history, self.ALPHAS, method, 600, 11)
+        assert curve == [(alpha, rate) for alpha, rate, _ in table]
+
+    def test_bootstrap_drawn_once_per_held_out_domain(self, monkeypatch):
+        import proxycal.intervals as intervals
+
+        blocks = []
+        original = intervals.uniform_block
+
+        def counted(seed, path, start, count):
+            blocks.append(seed)
+            return original(seed, path, start, count)
+
+        monkeypatch.setattr(intervals, "uniform_block", counted)
+        history = outlier_history()
+        loo_table(history, self.ALPHAS, "bootstrap", bootstrap_draws=500, seed=3)
+        assert blocks == [derive_seed(3, k) for k in range(len(history))]
