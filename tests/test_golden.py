@@ -37,6 +37,16 @@ estimators = primary_only,proxy_only,ppi,ppi_weighted
 adjustments = none,plugin,bootstrap
 """
 
+# Nine labeled sources: the weighted rectifier sums eight or more terms.
+SIM_WEIGHTED_CONFIG = """\
+n_domains = 10
+n_per_domain = 200
+replicates = 3
+bootstrap_draws = 200
+estimators = ppi_weighted
+adjustments = none,plugin,bootstrap
+"""
+
 PINS = {
     "fit": "25df978e73162bed4015af18af6bfb70397f49074319d9b9eeab513f14c3e10d",
     "adjust-plugin": "b7572a11cba0f324ed5f1abbf81c5c190aaad71ecf05528b5287c8991ba863dc",
@@ -44,6 +54,7 @@ PINS = {
     "loo": "7833335caa206a520298bcc6bc309e30faeb137d9c3d0f765720419a60a8b51e",
     "tune-context": "1213154a309939bb4568cfcfc01a942ebde26e42717b4fc8995de4db9bc09b17",
     "simulate": "c2f9da07117d366e02ee10792e2e00c8e355fe4af1ed308bce7a0fa0c4e51e16",
+    "simulate-weighted": "310a77073d948caeac02e235c19b8ea1e454327cc4c29f5105d4133e04e7fe17",
 }
 
 
@@ -70,8 +81,10 @@ def files(tmp_path):
     target.write_text(TARGET_CSV)
     config = tmp_path / "sim.txt"
     config.write_text(SIM_CONFIG)
+    weighted = tmp_path / "sim_weighted.txt"
+    weighted.write_text(SIM_WEIGHTED_CONFIG)
     return {"history": str(history), "target": str(target), "config": str(config),
-            "dir": tmp_path}
+            "weighted": str(weighted), "dir": tmp_path}
 
 
 COMMANDS = {
@@ -84,6 +97,7 @@ COMMANDS = {
             "--method", "unadjusted,plugin,bootstrap", "--draws", "500", "--seed", "3"],
     "tune-context": ["tune-context", "{history}", "--target-context", TARGET_CONTEXT],
     "simulate": ["simulate", "{config}"],
+    "simulate-weighted": ["simulate", "{weighted}"],
 }
 
 
