@@ -218,104 +218,78 @@ def _weighted_transport(domains: list[DomainData]) -> tuple[np.ndarray, np.ndarr
     return delta, var
 
 
-def _estimate(
-    domains: list[DomainData],
-    cfg: SimConfig,
-    which: tuple[str, ...],
-    transport: tuple[np.ndarray, np.ndarray] | None = None,
-) -> dict[str, tuple[float, float]]:
+def _domain_table(
+    domains: list[DomainData], estimators: tuple[str, ...]
+) -> tuple[np.ndarray, np.ndarray, dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
+    """Every requested estimator with each domain in turn as the target.
+
+    Returns ``(theta_hat, var_primary, table)``: the primary mean and its
+    variance per domain, and for each estimator the arrays ``(theta_star,
+    var_proxy, cov)`` over all K domains. Entry ``t`` is the estimator with
+    domain ``t`` as target and the *other* labeled domains as sources, so the
+    last entry is the target's estimate and the first K - 1 entries are the
+    history records. The rectifier terms share no units with the domain's own
+    means and contribute variance but no covariance.
+    """
     if len(domains) < 2:
         raise ValueError("estimation requires at least one labeled domain plus the target")
-    target = domains[-1]
     labeled = domains[:-1]
-    m = len(labeled)
+    covs = np.stack([cov_components(dom) for dom in domains])
+    theta_hat = np.array([dom.primary.mean() for dom in domains])
+    proxy_mean = np.array([dom.proxy.mean() for dom in domains])
+    var_primary, var_proxy, cov = covs[:, 0, 0], covs[:, 1, 1], covs[:, 0, 1]
 
-    out: dict[str, tuple[float, float]] = {}
-    tgt_cov = cov_components(target)
-    proxy_mean = float(target.proxy.mean())
-    proxy_var = tgt_cov[1, 1]
+    # own[j, t]: labeled source j is domain t itself and stays out of its rectifier
+    own = np.eye(len(labeled), len(domains), dtype=bool)
+    sources = np.maximum((~own).sum(axis=0), 1)
 
-    if "primary_only" in which:
-        out["primary_only"] = (float(target.primary.mean()), tgt_cov[0, 0])
-    if "proxy_only" in which:
-        out["proxy_only"] = (proxy_mean, proxy_var)
-    if "ppi" in which:
-        rect = 0.0
-        rect_var = 0.0
-        for dom in labeled:
-            resid = dom.primary - dom.proxy
-            rect += float(resid.mean())
-            rect_var += float(resid.var(ddof=1)) / len(resid)
-        out["ppi"] = (proxy_mean + rect / m, proxy_var + rect_var / m ** 2)
-    if "ppi_weighted" in which:
-        if transport is None:
-            transport = _weighted_transport(domains)
-        rect = float(transport[0][:, -1].sum())
-        rect_var = float(transport[1][:, -1].sum())
-        out["ppi_weighted"] = (proxy_mean + rect / m, proxy_var + rect_var / m ** 2)
-    return out
+    def rectified(delta: np.ndarray, var: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # axis-0 sums of C-ordered arrays add the sources in order, one by one
+        rect = np.where(own, 0.0, delta).sum(axis=0)
+        rect_var = np.where(own, 0.0, var).sum(axis=0)
+        return proxy_mean + rect / sources, var_proxy + rect_var / sources ** 2, cov
+
+    table = {}
+    if "primary_only" in estimators:
+        table["primary_only"] = (theta_hat, var_primary, var_primary)
+    if "proxy_only" in estimators:
+        table["proxy_only"] = (proxy_mean, var_proxy, cov)
+    if "ppi" in estimators:
+        resid = [dom.primary - dom.proxy for dom in labeled]
+        resid_mean = np.array([[r.mean()] for r in resid])
+        resid_var = np.array([[r.var(ddof=1) / len(r)] for r in resid])
+        table["ppi"] = rectified(resid_mean, resid_var)
+    if "ppi_weighted" in estimators:
+        table["ppi_weighted"] = rectified(*_weighted_transport(domains))
+    return theta_hat, var_primary, table
+
+
+def _history_records(
+    theta_hat: np.ndarray, var_primary: np.ndarray, view: tuple[np.ndarray, np.ndarray, np.ndarray]
+) -> list[DomainRecord]:
+    """The labeled entries of one estimator's table view as history records."""
+    theta_star, var_proxy, cov = view
+    columns = (theta_hat, theta_star, var_primary, var_proxy, cov)
+    rows = zip(*(col[:-1].tolist() for col in columns))
+    return [DomainRecord(f"d{k}", *row) for k, row in enumerate(rows)]
 
 
 def estimate_all(domains: list[DomainData], cfg: SimConfig) -> dict[str, tuple[float, float]]:
     """(estimate, variance) for every estimator; last domain is the target."""
-    return _estimate(domains, cfg, ESTIMATORS)
+    _, _, table = _domain_table(domains, ESTIMATORS)
+    return {name: (float(est[-1]), float(var[-1])) for name, (est, var, _) in table.items()}
 
 
-def build_history(
-    domains: list[DomainData],
-    cfg: SimConfig,
-    estimator: str,
-    _transport: tuple[np.ndarray, np.ndarray] | None = None,
-) -> list[DomainRecord]:
+def build_history(domains: list[DomainData], cfg: SimConfig, estimator: str) -> list[DomainRecord]:
     """Aggregate records for the labeled domains, matched to the estimator.
 
     Each labeled domain is summarized as if it were the inference target of
-    the chosen estimator, built from the *other* labeled domains; the
-    rectifier terms therefore share no units with the domain's own means and
-    contribute variance but no covariance.
+    the chosen estimator, built from the *other* labeled domains.
     """
     if estimator not in ESTIMATORS:
         raise ValueError(f"unknown estimator {estimator!r}; choose from {ESTIMATORS}")
-    labeled = domains[:-1]
-    m = len(labeled)
-    n = len(labeled[0].primary)
-    covs = [cov_components(dom) for dom in labeled]
-    ybars = [float(dom.primary.mean()) for dom in labeled]
-    ysbars = [float(dom.proxy.mean()) for dom in labeled]
-
-    if estimator == "ppi":
-        resid_means = [float((dom.primary - dom.proxy).mean()) for dom in labeled]
-        resid_vars = [
-            float((dom.primary - dom.proxy).var(ddof=1)) / n for dom in labeled
-        ]
-    elif estimator == "ppi_weighted":
-        pair_delta, pair_var = (
-            _transport if _transport is not None else _weighted_transport(domains)
-        )
-
-    records = []
-    for k, dom in enumerate(labeled):
-        var_p = covs[k][0, 0]
-        var_x = covs[k][1, 1]
-        cov_px = covs[k][0, 1]
-        if estimator == "primary_only":
-            rec = DomainRecord(f"d{k}", ybars[k], ybars[k], var_p, var_p, var_p)
-        elif estimator == "proxy_only":
-            rec = DomainRecord(f"d{k}", ybars[k], ysbars[k], var_p, var_x, cov_px)
-        else:
-            others = [j for j in range(m) if j != k]
-            if estimator == "ppi":
-                rect = sum(resid_means[j] for j in others)
-                extra = sum(resid_vars[j] for j in others)
-            else:
-                rect = float(sum(pair_delta[j, k] for j in others))
-                extra = float(sum(pair_var[j, k] for j in others))
-            if others:
-                rect /= len(others)
-                extra /= len(others) ** 2
-            rec = DomainRecord(f"d{k}", ybars[k], ysbars[k] + rect, var_p, var_x + extra, cov_px)
-        records.append(rec)
-    return records
+    theta_hat, var_primary, table = _domain_table(domains, (estimator,))
+    return _history_records(theta_hat, var_primary, table[estimator])
 
 
 def mc_truth(cfg: SimConfig, rng: np.random.Generator) -> float:
@@ -379,17 +353,15 @@ def _replicate_domains(cfg: SimConfig, rep: int) -> list[DomainData]:
 
 def _run_replicate(cfg: SimConfig, rep: int, truth: float) -> dict[tuple[str, str], tuple[bool, float]]:
     domains = _replicate_domains(cfg, rep)
-    transport = (
-        _weighted_transport(domains) if "ppi_weighted" in cfg.estimators else None
-    )
-    estimates = _estimate(domains, cfg, cfg.estimators, transport=transport)
+    theta_hat, var_primary, table = _domain_table(domains, cfg.estimators)
 
     out: dict[tuple[str, str], tuple[bool, float]] = {}
     for est_name in cfg.estimators:
-        value, variance = estimates[est_name]
+        view = table[est_name]
+        value, variance = float(view[0][-1]), float(view[1][-1])
         history = None
         if any(adj != "none" for adj in cfg.adjustments):
-            history = build_history(domains, cfg, est_name, _transport=transport)
+            history = _history_records(theta_hat, var_primary, view)
         target = TargetRecord("target", theta_star_hat=value, var_proxy=variance)
         for adj in cfg.adjustments:
             if adj == "none":

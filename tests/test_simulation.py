@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from proxycal import (
+    DomainRecord,
     SimConfig,
     build_history,
     cov_components,
@@ -18,7 +19,8 @@ from proxycal import (
     sample_unit_ball,
     threshold_count,
 )
-from proxycal.simulation import DomainData, _replicate_domains
+from proxycal import simulation
+from proxycal.simulation import DomainData, _replicate_domains, _weighted_transport
 from proxycal._rng import substream
 
 from reference import enumerated_prevalence, enumerated_prevalence_sd
@@ -280,6 +282,78 @@ class TestBuildHistory:
             rect_a = a.theta_star_hat - domains[0].proxy.mean()
             rect_b = b.theta_star_hat - domains[0].proxy.mean()
             assert rect_a == pytest.approx(rect_b, abs=1e-15)
+
+
+def sequential_history(domains, estimator):
+    """Records built one by one, each rectifier summed source after source."""
+    labeled = domains[:-1]
+    m = len(labeled)
+    resid = [dom.primary - dom.proxy for dom in labeled]
+    pair_delta, pair_var = _weighted_transport(domains)
+    records = []
+    for k, dom in enumerate(labeled):
+        cov = cov_components(dom)
+        ybar, ysbar = float(dom.primary.mean()), float(dom.proxy.mean())
+        if estimator == "primary_only":
+            records.append(DomainRecord(f"d{k}", ybar, ybar, cov[0, 0], cov[0, 0], cov[0, 0]))
+            continue
+        rect = extra = 0.0
+        if estimator != "proxy_only":
+            for j in range(m):
+                if j == k:
+                    continue
+                if estimator == "ppi":
+                    rect += float(resid[j].mean())
+                    extra += float(resid[j].var(ddof=1)) / len(resid[j])
+                else:
+                    rect += pair_delta[j, k]
+                    extra += pair_var[j, k]
+            rect /= m - 1
+            extra /= (m - 1) ** 2
+        records.append(
+            DomainRecord(f"d{k}", ybar, ysbar + rect, cov[0, 0], cov[1, 1] + extra, cov[0, 1])
+        )
+    return records
+
+
+class TestDomainTable:
+    def test_cov_components_once_per_domain_per_replicate(self, monkeypatch):
+        calls = []
+        original = simulation.cov_components
+
+        def counting(domain):
+            calls.append(domain)
+            return original(domain)
+
+        monkeypatch.setattr(simulation, "cov_components", counting)
+        cfg = SimConfig(n_domains=5, n_per_domain=100, replicates=3, bootstrap_draws=200, seed=7)
+        run_experiment(cfg)
+        assert len(calls) == cfg.replicates * cfg.n_domains
+
+    def test_record_is_estimate_with_domain_as_target(self):
+        cfg = SimConfig(n_domains=6, n_per_domain=150, kappa=1.0, seed=8)
+        domains = _replicate_domains(cfg, 0)
+        labeled = domains[:-1]
+        for estimator in ("primary_only", "proxy_only", "ppi", "ppi_weighted"):
+            records = build_history(domains, cfg, estimator)
+            for k, rec in enumerate(records):
+                swapped = labeled[:k] + labeled[k + 1:] + [labeled[k]]
+                value, variance = estimate_all(swapped, cfg)[estimator]
+                if estimator == "ppi_weighted":
+                    assert rec.theta_star_hat == pytest.approx(value, rel=1e-12)
+                    assert rec.var_proxy == pytest.approx(variance, rel=1e-12)
+                else:
+                    assert (rec.theta_star_hat, rec.var_proxy) == (value, variance)
+
+    def test_records_equal_sequential_sums_at_ten_domains(self):
+        # nine sources: numpy's pairwise 1-D sum would round differently here
+        cfg = SimConfig(n_domains=10, n_per_domain=200, kappa=1.0, seed=9)
+        for rep in range(3):
+            domains = _replicate_domains(cfg, rep)
+            for estimator in ("primary_only", "proxy_only", "ppi", "ppi_weighted"):
+                assert build_history(domains, cfg, estimator) == sequential_history(
+                    domains, estimator
+                )
 
 
 class TestTruth:
