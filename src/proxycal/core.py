@@ -109,6 +109,9 @@ class BiasModel:
     def __post_init__(self) -> None:
         if self.n_domains < 1:
             raise ValueError(f"n_domains must be >= 1, got {self.n_domains}")
+        for name in ("rho", "gamma2"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.gamma2 < 0:
             raise ValueError(f"gamma2 must be >= 0, got {self.gamma2}")
         if len(self.diffs) != self.n_domains or len(self.diff_vars) != self.n_domains:

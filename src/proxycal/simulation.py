@@ -65,8 +65,11 @@ class SimConfig:
             raise ValueError(f"dim_p must be >= 1, got {self.dim_p}")
         if self.n_domains < 2:
             raise ValueError(f"n_domains must be >= 2, got {self.n_domains}")
-        if self.n_per_domain < 1:
-            raise ValueError(f"n_per_domain must be >= 1, got {self.n_per_domain}")
+        if self.n_per_domain < 2:
+            raise ValueError(f"n_per_domain must be >= 2, got {self.n_per_domain}")
+        for name in ("kappa", "lambda1", "phi1", "lambda2", "phi2", "alpha"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.kappa < 0:
             raise ValueError(f"kappa must be >= 0, got {self.kappa}")
         if len(self.mu_target) != self.dim_p:
@@ -79,6 +82,8 @@ class SimConfig:
             raise ValueError("replicates and mc_truth_samples must be >= 1")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        if self.bootstrap_draws < 2:
+            raise ValueError(f"bootstrap_draws must be >= 2, got {self.bootstrap_draws}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
         if not self.estimators or not self.adjustments:

@@ -143,6 +143,20 @@ class TestModelFile:
         assert code == 2
         assert "duplicate key 'rho'" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["rho = nan", "gamma2 = nan", "gamma2 = inf"])
+    def test_non_finite_model_number_names_file(self, tmp_path, capsys, line):
+        path = tmp_path / "model.txt"
+        write_model(path, BiasModel(0.02, 0.0005, 3, (0.02,) * 3, (0.0,) * 3))
+        key = line.split(" = ")[0]
+        text = "\n".join(line if ln.startswith(key + " = ") else ln
+                         for ln in path.read_text().splitlines())
+        path.write_text(text + "\n")
+        code = main(["adjust", "--model", str(path), "--target", str(target_csv(tmp_path)),
+                     "--out", str(tmp_path / "i.txt")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and f"{key} must be finite" in err
+
 
 class TestSimConfigFile:
     def test_grid_expansion_deterministic_order(self, tmp_path):
@@ -188,6 +202,25 @@ class TestSimConfigFile:
             load_sim_configs(path)
         assert main(["simulate", str(path), "--out", str(tmp_path / "r.csv")]) == 2
         assert "duplicate key 'n_domains'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line,message",
+        [
+            ("kappa = nan", "kappa must be finite"),
+            ("lambda1 = inf", "lambda1 must be finite"),
+            ("n_per_domain = 1", "n_per_domain must be >= 2"),
+            ("bootstrap_draws = 1", "bootstrap_draws must be >= 2"),
+        ],
+    )
+    def test_invalid_value_names_file(self, tmp_path, capsys, line, message):
+        body = {"n_domains": "3", "n_per_domain": "10", "replicates": "1"}
+        key, value = line.split(" = ")
+        body[key] = value
+        path = write(tmp_path / "cfg.txt", "".join(f"{k} = {v}\n" for k, v in body.items()))
+        assert main(["simulate", str(path), "--out", str(tmp_path / "r.csv")]) == 2
+        err = capsys.readouterr().err
+        assert str(path) in err and message in err
+        assert not (tmp_path / "r.csv").exists()
 
     def test_unparseable_value_named(self, tmp_path):
         for line in ("kappa = 0.0,x", "mu_target = 0.5,,0.5,0.5", "replicates = 2.5"):

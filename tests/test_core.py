@@ -198,6 +198,13 @@ class TestBiasModelValidation:
         with pytest.raises(ValueError):
             BiasModel(0.0, -1e-9, 1, (0.0,), (0.0,))
 
+    @pytest.mark.parametrize(
+        "rho,gamma2", [(math.nan, 0.0), (math.inf, 0.0), (0.0, math.nan), (0.0, math.inf)]
+    )
+    def test_non_finite_rejected(self, rho, gamma2):
+        with pytest.raises(ValueError, match="must be finite"):
+            BiasModel(rho, gamma2, 1, (0.0,), (0.0,))
+
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             BiasModel(0.0, 0.0, 2, (0.0,), (0.0, 0.0))

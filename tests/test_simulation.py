@@ -428,6 +428,15 @@ class TestSimConfigValidation:
             dict(n_domains=5, n_per_domain=10, estimators=("nope",)),
             dict(n_domains=5, n_per_domain=10, adjustments=("nope",)),
             dict(n_domains=5, n_per_domain=10, workers=0),
+            dict(n_domains=5, n_per_domain=1),
+            dict(n_domains=5, n_per_domain=10, bootstrap_draws=1),
+            dict(n_domains=5, n_per_domain=10, kappa=math.nan),
+            dict(n_domains=5, n_per_domain=10, kappa=math.inf),
+            dict(n_domains=5, n_per_domain=10, lambda1=math.inf),
+            dict(n_domains=5, n_per_domain=10, phi1=math.nan),
+            dict(n_domains=5, n_per_domain=10, lambda2=-math.inf),
+            dict(n_domains=5, n_per_domain=10, phi2=math.nan),
+            dict(n_domains=5, n_per_domain=10, alpha=math.nan),
         ],
     )
     def test_rejects(self, kwargs):
