@@ -56,8 +56,13 @@ def similarity_weights(
     to one. If every similarity underflows to zero the target sits far outside
     the history's context support and no weighting is meaningful.
     """
-    if beta <= 0:
-        raise ValueError(f"beta must be > 0, got {beta}")
+    return _kernel_weights(_squared_distances(history_contexts, target_context), beta)
+
+
+def _squared_distances(
+    history_contexts: list[tuple[float, ...]], target_context: tuple[float, ...]
+) -> np.ndarray:
+    """Squared Euclidean distance of each history context to the target's."""
     tgt = np.asarray(target_context, dtype=float)
     ctx = [np.asarray(c, dtype=float) for c in history_contexts]
     for c in ctx:
@@ -65,7 +70,13 @@ def similarity_weights(
             raise ValueError(
                 f"context dimension mismatch: history has {c.shape[0]}, target has {tgt.shape[0]}"
             )
-    sq = np.array([float(((c - tgt) ** 2).sum()) for c in ctx])
+    return np.array([float(((c - tgt) ** 2).sum()) for c in ctx])
+
+
+def _kernel_weights(sq: np.ndarray, beta: float) -> ContextWeights:
+    """Normalized squared-exponential weights at bandwidth ``beta``."""
+    if beta <= 0:
+        raise ValueError(f"beta must be > 0, got {beta}")
     raw = np.exp(-sq / (2.0 * beta * beta))
     total = raw.sum()
     if total == 0.0:
@@ -142,15 +153,15 @@ def beta_profile(
         raise ValueError("beta_grid must be non-empty")
     if len(history) < 2:
         raise ValueError("bandwidth tuning requires at least 2 history records")
-    ctxs = _history_contexts(history)
+    sq = _squared_distances(_history_contexts(history), target_context)
     d, dv = diff_arrays(history)
 
     profile = []
     for beta in beta_grid:
         try:
-            w = np.asarray(similarity_weights(ctxs, target_context, beta).weights)
+            w = np.asarray(_kernel_weights(sq, beta).weights)
         except ValueError:
-            # all-zero similarity at this bandwidth: degenerate, not fatal
+            # nonpositive bandwidth or all-zero similarity: degenerate, not fatal
             profile.append((beta, -math.inf))
             continue
         model = _bias_model(d, dv, w)

@@ -16,7 +16,8 @@ from proxycal import (
     time_decay_weights,
     tune_beta,
 )
-from proxycal.contextual import beta_profile
+from proxycal.contextual import _weighted_loglik, beta_profile
+from proxycal.core import _bias_model, diff_arrays
 
 from reference import (
     gaussian_weights_reference,
@@ -239,6 +240,26 @@ class TestTuneBeta:
     def test_requires_contexts(self):
         with pytest.raises(ValueError, match="context"):
             tune_beta([rec(0.1, 1e-3, "a"), rec(0.2, 1e-3, "b")], (0.0,), [1.0])
+
+    def test_context_dimension_mismatch_raises(self):
+        with pytest.raises(ValueError, match="context dimension mismatch"):
+            tune_beta(two_cluster_history(), (0.0, 1.0), default_beta_grid())
+
+    def test_profile_equals_per_bandwidth_similarity_weights(self):
+        rng = np.random.default_rng(5)
+        history = [
+            rec(float(rng.normal(0.1, 0.05)), 1e-3, f"d{i}",
+                context=tuple(float(c) for c in rng.normal(size=2)))
+            for i in range(30)
+        ]
+        grid = [-1.0, *default_beta_grid(9)]
+        d, dv = diff_arrays(history)
+        expected = [(grid[0], -math.inf)]
+        for beta in grid[1:]:
+            w = np.asarray(similarity_weights([r.context for r in history], (0.3, -0.2), beta).weights)
+            model = _bias_model(d, dv, w)
+            expected.append((beta, _weighted_loglik(d, dv, w, model.rho, model.gamma2)))
+        assert beta_profile(history, (0.3, -0.2), grid) == expected
 
 
 class TestContextualInterval:
