@@ -244,7 +244,8 @@ def _domain_table(
     proxy_mean = np.array([dom.proxy.mean() for dom in domains])
     var_primary, var_proxy, cov = covs[:, 0, 0], covs[:, 1, 1], covs[:, 0, 1]
 
-    # own[j, t]: labeled source j is domain t itself and stays out of its rectifier
+    # own[j, t]: labeled source j is domain t itself and stays out of its
+    # rectifier; with one labeled domain its record has no source and no rectifier
     own = np.eye(len(labeled), len(domains), dtype=bool)
     sources = np.maximum((~own).sum(axis=0), 1)
 
