@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from . import dataio
 from .contextual import (
@@ -93,15 +92,13 @@ def _cmd_adjust(args: argparse.Namespace) -> int:
             history, target, args.alpha, draws=args.draws, seed=args.seed
         )
 
-    point = debias(target, model)
-    lines = [
-        f"point = {point!r}",
-        f"lower = {interval.lower!r}",
-        f"upper = {interval.upper!r}",
-        f"level = {interval.level!r}",
-        f"method = {args.method}",
-    ]
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    lines = dataio.write_kv(args.out, {
+        "point": debias(target, model),
+        "lower": interval.lower,
+        "upper": interval.upper,
+        "level": interval.level,
+        "method": args.method,
+    })
     inputs = {"target": args.target}
     if args.history is not None:
         inputs["history"] = args.history
@@ -140,10 +137,7 @@ def _cmd_loo(args: argparse.Namespace) -> int:
         )
     ]
 
-    with Path(args.out).open("w", newline="") as fh:
-        fh.write("alpha,method,overlap_rate,normalized_width\n")
-        for alpha, method, rate, width in rows:
-            fh.write(f"{alpha!r},{method},{rate!r},{width!r}\n")
+    dataio.write_loo_table(args.out, rows)
     dataio.write_manifest(
         args.out,
         "loo",
@@ -184,6 +178,8 @@ def _cmd_tune_context(args: argparse.Namespace) -> int:
     target_context = tuple(_parse_float_list(args.target_context, "--target-context"))
     if args.beta_grid is not None:
         grid = _parse_float_list(args.beta_grid, "--beta-grid")
+        if not all(beta > 0 for beta in grid):
+            raise dataio.SchemaError(f"--beta-grid values must be > 0, got {args.beta_grid!r}")
     else:
         grid = default_beta_grid()
     if any(rec.context is None for rec in history):
@@ -195,15 +191,14 @@ def _cmd_tune_context(args: argparse.Namespace) -> int:
     model = fit_weighted_mom(history, weights)
     _emit_model_warnings(model)
 
-    lines = [
-        f"beta_star = {beta_star!r}",
-        f"loglik_star = {ll_star!r}",
-        f"rho = {model.rho!r}",
-        f"gamma2 = {model.gamma2!r}",
-        f"grid_betas = {','.join(repr(b) for b, _ in profile)}",
-        f"grid_logliks = {','.join(repr(ll) for _, ll in profile)}",
-    ]
-    Path(args.out).write_text("\n".join(lines) + "\n")
+    lines = dataio.write_kv(args.out, {
+        "beta_star": beta_star,
+        "loglik_star": ll_star,
+        "rho": model.rho,
+        "gamma2": model.gamma2,
+        "grid_betas": [b for b, _ in profile],
+        "grid_logliks": [ll for _, ll in profile],
+    })
     dataio.write_manifest(
         args.out,
         "tune-context",
@@ -273,13 +268,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (dataio.SchemaError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -1,8 +1,9 @@
 """File formats for the command-line surface.
 
 Tabular inputs (history, target) are comma-separated text with a header so
-aggregate data stays hand-editable and auditable. Fitted models and simulation
-configs are ``key = value`` text. Every command writes a JSON run manifest
+aggregate data stays hand-editable and auditable. Fitted models, simulation
+configs and the ``adjust`` and ``tune-context`` outputs are ``key = value``
+text. Every command writes a JSON run manifest
 next to its output recording the resolved parameters and input/output digests;
 nothing in the manifest or outputs depends on wall-clock state.
 """
@@ -14,8 +15,9 @@ import hashlib
 import itertools
 import json
 import math
-from dataclasses import asdict
+from dataclasses import MISSING, asdict, fields
 from pathlib import Path
+from typing import get_type_hints
 
 from .core import BiasModel, DomainRecord, InvalidRecordError, TargetRecord
 from .simulation import CellResult, SimConfig
@@ -41,19 +43,6 @@ MODEL_FORMAT = "proxycal-bias-model-v1"
 # Config keys that may carry comma-separated grids.
 _GRID_KEYS = ("kappa", "n_domains", "n_per_domain")
 
-_INT_KEYS = {
-    "n_domains",
-    "n_per_domain",
-    "dim_p",
-    "replicates",
-    "mc_truth_samples",
-    "seed",
-    "bootstrap_draws",
-    "workers",
-}
-_FLOAT_KEYS = {"kappa", "lambda1", "phi1", "lambda2", "phi2", "alpha"}
-_LIST_KEYS = {"mu_target", "estimators", "adjustments"}
-
 
 class SchemaError(ValueError):
     """An input file fails validation; the message locates the offense."""
@@ -71,8 +60,12 @@ def _parse_float(value: str, path: str, row: int, column: str) -> float:
     return number
 
 
-def _read_table(path: str | Path, required: tuple[str, ...]) -> tuple[list[dict], list[str], str | None]:
-    """Rows, context column names (header order), and the timestamp column if any."""
+def _read_records(path: str | Path, required: tuple[str, ...], record_type) -> list:
+    """One ``record_type`` per data row of a validated table.
+
+    ``required`` starts with ``domain_id``; every other column is numeric and
+    the required ones are named after the record fields they fill.
+    """
     path = Path(path)
     with path.open(newline="") as fh:
         reader = csv.DictReader(fh)
@@ -86,58 +79,40 @@ def _read_table(path: str | Path, required: tuple[str, ...]) -> tuple[list[dict]
         unknown = [c for c in header if c not in known and not c.startswith("context_")]
         if unknown:
             raise SchemaError(f"{path}: unknown column(s): {', '.join(unknown)}")
-        context_cols = [c for c in header if c.startswith("context_")]
-        ts_col = "timestamp" if "timestamp" in header else None
         rows = list(reader)
     if not rows:
         raise SchemaError(f"{path}: no data rows")
-    return rows, context_cols, ts_col
-
-
-def _row_extras(
-    row: dict, context_cols: list[str], ts_col: str | None, path: str, rownum: int
-) -> tuple[tuple[float, ...] | None, float | None]:
-    context = None
-    if context_cols:
-        context = tuple(_parse_float(row[c], path, rownum, c) for c in context_cols)
-    timestamp = None
-    if ts_col is not None:
-        timestamp = _parse_float(row[ts_col], path, rownum, ts_col)
-    return context, timestamp
+    context_cols = [c for c in header if c.startswith("context_")]
+    records = []
+    for i, row in enumerate(rows, start=2):
+        values = {c: _parse_float(row[c], str(path), i, c) for c in header if c != "domain_id"}
+        context = tuple(values.pop(c) for c in context_cols) if context_cols else None
+        timestamp = values.pop("timestamp", None)
+        try:
+            record = record_type(row["domain_id"], **values, context=context, timestamp=timestamp)
+        except InvalidRecordError as exc:
+            raise SchemaError(f"{path}: row {i}: {exc}") from None
+        records.append(record)
+    return records
 
 
 def load_history(path: str | Path) -> list[DomainRecord]:
     """Parse and validate a history table into domain records."""
-    rows, context_cols, ts_col = _read_table(path, HISTORY_COLUMNS)
-    records = []
+    records = _read_records(path, HISTORY_COLUMNS, DomainRecord)
     seen = set()
-    for i, row in enumerate(rows, start=2):
-        domain_id = row["domain_id"]
-        if domain_id in seen:
-            raise SchemaError(f"{path}: duplicate domain_id {domain_id!r} at row {i}")
-        seen.add(domain_id)
-        context, timestamp = _row_extras(row, context_cols, ts_col, str(path), i)
-        # the numeric columns are named after the record fields they fill
-        fields = {c: _parse_float(row[c], str(path), i, c) for c in HISTORY_COLUMNS[1:]}
-        try:
-            records.append(DomainRecord(domain_id, **fields, context=context, timestamp=timestamp))
-        except InvalidRecordError as exc:
-            raise SchemaError(f"{path}: row {i}: {exc}") from None
+    for i, rec in enumerate(records, start=2):
+        if rec.domain_id in seen:
+            raise SchemaError(f"{path}: duplicate domain_id {rec.domain_id!r} at row {i}")
+        seen.add(rec.domain_id)
     return records
 
 
 def load_target(path: str | Path) -> TargetRecord:
     """Parse the single-row target table."""
-    rows, context_cols, ts_col = _read_table(path, TARGET_COLUMNS)
-    if len(rows) != 1:
-        raise SchemaError(f"{path}: expected exactly 1 target row, found {len(rows)}")
-    row = rows[0]
-    context, timestamp = _row_extras(row, context_cols, ts_col, str(path), 2)
-    fields = {c: _parse_float(row[c], str(path), 2, c) for c in TARGET_COLUMNS[1:]}
-    try:
-        return TargetRecord(row["domain_id"], **fields, context=context, timestamp=timestamp)
-    except InvalidRecordError as exc:
-        raise SchemaError(f"{path}: row 2: {exc}") from None
+    records = _read_records(path, TARGET_COLUMNS, TargetRecord)
+    if len(records) != 1:
+        raise SchemaError(f"{path}: expected exactly 1 target row, found {len(records)}")
+    return records[0]
 
 
 def _fmt_floats(values) -> str:
@@ -145,16 +120,34 @@ def _fmt_floats(values) -> str:
 
 
 def write_model(path: str | Path, model: BiasModel) -> None:
-    lines = [
-        f"format = {MODEL_FORMAT}",
-        f"rho = {model.rho!r}",
-        f"gamma2 = {model.gamma2!r}",
-        f"n_domains = {model.n_domains}",
-        f"warnings = {','.join(model.warnings)}",
-        f"diffs = {_fmt_floats(model.diffs)}",
-        f"diff_vars = {_fmt_floats(model.diff_vars)}",
-    ]
+    write_kv(path, {
+        "format": MODEL_FORMAT,
+        "rho": model.rho,
+        "gamma2": model.gamma2,
+        "n_domains": model.n_domains,
+        "warnings": ",".join(model.warnings),
+        "diffs": model.diffs,
+        "diff_vars": model.diff_vars,
+    })
+
+
+def _fmt_value(value) -> str:
+    if isinstance(value, float):
+        return repr(float(value))
+    if isinstance(value, (tuple, list)):
+        return _fmt_floats(value)
+    return str(value)
+
+
+def write_kv(path: str | Path, pairs: dict) -> list[str]:
+    """Write ``key = value`` lines and return them.
+
+    Floats are written at round-trip precision, tuples and lists as
+    comma-separated floats, anything else as its ``str``.
+    """
+    lines = [f"{key} = {_fmt_value(value)}" for key, value in pairs.items()]
     Path(path).write_text("\n".join(lines) + "\n")
+    return lines
 
 
 def _parse_kv(path: str | Path) -> dict[str, str]:
@@ -193,53 +186,51 @@ def load_model(path: str | Path) -> BiasModel:
         raise SchemaError(f"{path}: malformed model file: {exc}") from None
 
 
+# Parser of a config value, by the type of its SimConfig field.
+_CONFIG_PARSERS = {
+    int: int,
+    float: float,
+    tuple[float, ...]: lambda value: tuple(float(p) for p in value.split(",")),
+    tuple[str, ...]: lambda value: tuple(p.strip() for p in value.split(",") if p.strip()),
+}
+
+
 def load_sim_configs(path: str | Path) -> list[SimConfig]:
     """Parse a simulation config, expanding any grid keys into a cell list.
 
-    ``kappa``, ``n_domains`` and ``n_per_domain`` accept comma-separated
-    grids; the cells are emitted in deterministic product order. All cells
-    share the master seed (replicate streams are keyed per replicate index).
+    The keys are the ``SimConfig`` fields: a field without a default is
+    required, any other omitted key takes its default. ``kappa``,
+    ``n_domains`` and ``n_per_domain`` accept
+    comma-separated grids; the cells are emitted in deterministic product
+    order. All cells share the master seed (replicate streams are keyed per
+    replicate index).
     """
     pairs = _parse_kv(path)
-    known = _INT_KEYS | _FLOAT_KEYS | _LIST_KEYS
-    unknown = sorted(set(pairs) - known)
+    defaults = {f.name: f.default for f in fields(SimConfig)}
+    unknown = sorted(set(pairs) - set(defaults))
     if unknown:
         raise SchemaError(f"{path}: unknown config key(s): {', '.join(unknown)}")
+    for key, default in defaults.items():
+        if default is MISSING and key not in pairs:
+            raise SchemaError(f"{path}: required key {key!r} missing")
 
+    types = get_type_hints(SimConfig)
     kwargs: dict = {}
-    grids: dict[str, list] = {}
     for key, value in pairs.items():
-        caster = int if key in _INT_KEYS else float
+        parse = _CONFIG_PARSERS[types[key]]
         parts = [p.strip() for p in value.split(",") if p.strip()]
         if key in _GRID_KEYS and not parts:
             raise SchemaError(f"{path}: empty value for {key!r}")
         try:
-            if key in _GRID_KEYS:
-                grids[key] = [caster(p) for p in parts]
-            elif key == "mu_target":
-                kwargs[key] = tuple(float(p) for p in value.split(","))
-            elif key in ("estimators", "adjustments"):
-                kwargs[key] = tuple(parts)
-            else:
-                kwargs[key] = caster(value)
+            kwargs[key] = [parse(p) for p in parts] if key in _GRID_KEYS else parse(value)
         except ValueError:
             raise SchemaError(f"{path}: cannot parse {key} value {value!r}") from None
 
-    for key in _GRID_KEYS:
-        if key not in grids:
-            if key == "kappa":
-                grids[key] = [0.0]
-            else:
-                raise SchemaError(f"{path}: required key {key!r} missing")
-
+    grids = [kwargs.pop(key, [defaults[key]]) for key in _GRID_KEYS]
     cells = []
     try:
-        for kappa, n_dom, n_per in itertools.product(
-            grids["kappa"], grids["n_domains"], grids["n_per_domain"]
-        ):
-            cells.append(
-                SimConfig(kappa=kappa, n_domains=n_dom, n_per_domain=n_per, **kwargs)
-            )
+        for cell in itertools.product(*grids):
+            cells.append(SimConfig(**dict(zip(_GRID_KEYS, cell)), **kwargs))
     except ValueError as exc:
         raise SchemaError(f"{path}: {exc}") from None
     return cells
@@ -252,7 +243,15 @@ def write_results(path: str | Path, cells: list[CellResult]) -> None:
         for cell in cells:
             row = asdict(cell)
             values = [row[_RESULT_FIELDS.get(c, c)] for c in RESULT_COLUMNS]
-            writer.writerow([repr(v) if isinstance(v, float) else v for v in values])
+            writer.writerow([_fmt_value(v) for v in values])
+
+
+def write_loo_table(path: str | Path, rows: list[tuple[float, str, float, float]]) -> None:
+    """Write ``(alpha, method, overlap_rate, normalized_width)`` rows as CSV."""
+    with Path(path).open("w", newline="") as fh:
+        fh.write("alpha,method,overlap_rate,normalized_width\n")
+        for alpha, method, rate, width in rows:
+            fh.write(f"{alpha!r},{method},{rate!r},{width!r}\n")
 
 
 def file_digest(path: str | Path) -> str:

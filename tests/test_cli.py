@@ -1,9 +1,17 @@
+import dataclasses
 import json
 from pathlib import Path
 
 import pytest
 
-from proxycal import BiasModel, DomainRecord, fit_mom, loo_overlap_rate, normalized_width
+from proxycal import (
+    BiasModel,
+    DomainRecord,
+    SimConfig,
+    fit_mom,
+    loo_overlap_rate,
+    normalized_width,
+)
 from proxycal.cli import main
 from proxycal.dataio import (
     SchemaError,
@@ -222,6 +230,36 @@ class TestSimConfigFile:
         assert str(path) in err and message in err
         assert not (tmp_path / "r.csv").exists()
 
+    # A valid non-default value for every SimConfig field: the text written to
+    # the config and the value load_sim_configs must return for it.
+    NON_DEFAULT = {
+        "n_domains": ("3", 3),
+        "n_per_domain": ("7", 7),
+        "kappa": ("0.5", 0.5),
+        "dim_p": ("2", 2),
+        "lambda1": ("0.25", 0.25),
+        "phi1": ("3.0", 3.0),
+        "lambda2": ("0.75", 0.75),
+        "phi2": ("1.5", 1.5),
+        "mu_target": ("0.25,-0.25", (0.25, -0.25)),
+        "replicates": ("4", 4),
+        "mc_truth_samples": ("1000", 1000),
+        "alpha": ("0.1", 0.1),
+        "seed": ("11", 11),
+        "bootstrap_draws": ("50", 50),
+        "estimators": ("ppi, proxy_only", ("ppi", "proxy_only")),
+        "adjustments": ("plugin", ("plugin",)),
+        "workers": ("2", 2),
+    }
+
+    @pytest.mark.parametrize("field", dataclasses.fields(SimConfig), ids=lambda f: f.name)
+    def test_every_field_is_a_config_key(self, tmp_path, field):
+        text, value = self.NON_DEFAULT[field.name]
+        assert value != field.default
+        body = "".join(f"{k} = {t}\n" for k, (t, _) in self.NON_DEFAULT.items())
+        (cfg,) = load_sim_configs(write(tmp_path / "cfg.txt", body))
+        assert getattr(cfg, field.name) == value
+
     def test_unparseable_value_named(self, tmp_path):
         for line in ("kappa = 0.0,x", "mu_target = 0.5,,0.5,0.5", "replicates = 2.5"):
             path = write(tmp_path / "cfg.txt", f"n_domains = 5\nn_per_domain = 10\n{line}\n")
@@ -256,6 +294,17 @@ class TestCliFit:
 
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["fit", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "m.txt")]) == 2
+
+    def test_internal_fault_exit_1(self, tmp_path, capsys, monkeypatch):
+        import proxycal.cli
+
+        def broken(history):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(proxycal.cli, "fit_mom", broken)
+        hist = history_csv(tmp_path, THREE_ROWS)
+        assert main(["fit", str(hist), "--out", str(tmp_path / "m.txt")]) == 1
+        assert "internal error: boom" in capsys.readouterr().err
 
 
 def target_csv(tmp_path, theta=0.5, var=0.0004):
@@ -470,6 +519,15 @@ class TestCliTuneContext:
         vals = parse_kv(out)
         logliks = [float(x) for x in vals["grid_logliks"].split(",")]
         assert float(vals["loglik_star"]) == max(logliks)
+
+    @pytest.mark.parametrize("grid", ["-1,0,1", "0", "2.5,-0.5", "nan"])
+    def test_nonpositive_beta_grid_exit_2(self, tmp_path, capsys, grid):
+        hist = self.make_history(tmp_path)
+        out = tmp_path / "tune.txt"
+        assert main(["tune-context", str(hist), "--target-context", "0.0",
+                     f"--beta-grid={grid}", "--out", str(out)]) == 2
+        assert "--beta-grid" in capsys.readouterr().err
+        assert not out.exists() and not manifest_path(out).exists()
 
     def test_missing_context_exit_2(self, tmp_path, capsys):
         hist = history_csv(tmp_path, THREE_ROWS)
