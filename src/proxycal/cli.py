@@ -5,11 +5,16 @@ interval via plug-in or domain bootstrap), ``loo`` (leave-one-out overlap and
 width table), ``simulate`` (coverage experiment from a config file) and
 ``tune-context`` (similarity bandwidth search). Exit status 0 on success, 2
 for input validation failures, 1 for internal errors.
+
+Each command returns its input and output paths by role (an input that was
+not given is ``None``); ``main`` then writes the run manifest, whose
+``params`` are every parsed argument, defaults included.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from . import dataio
@@ -45,29 +50,25 @@ def _emit_model_warnings(model) -> None:
 
 def _parse_float_list(text: str, flag: str) -> list[float]:
     try:
-        return [float(p) for p in text.split(",") if p.strip()]
+        values = [float(p) for p in text.split(",") if p.strip()]
     except ValueError:
         raise dataio.SchemaError(f"cannot parse {flag} value {text!r}") from None
+    if not all(math.isfinite(v) for v in values):
+        raise dataio.SchemaError(f"{flag} values must be finite, got {text!r}")
+    return values
 
 
-def _cmd_fit(args: argparse.Namespace) -> int:
+def _cmd_fit(args: argparse.Namespace) -> tuple[dict, dict]:
     history = dataio.load_history(args.history)
     model = fit_mom(history)
     _emit_model_warnings(model)
     dataio.write_model(args.out, model)
-    dataio.write_manifest(
-        args.out,
-        "fit",
-        {"history": str(args.history), "out": str(args.out)},
-        inputs={"history": args.history},
-        outputs={"model": args.out},
-    )
     print(f"rho = {model.rho!r}")
     print(f"gamma2 = {model.gamma2!r}")
-    return EXIT_OK
+    return {"history": args.history}, {"model": args.out}
 
 
-def _cmd_adjust(args: argparse.Namespace) -> int:
+def _cmd_adjust(args: argparse.Namespace) -> tuple[dict, dict]:
     if args.history is None and args.model is None:
         raise dataio.SchemaError("one of --history or --model is required")
     target = dataio.load_target(args.target)
@@ -99,29 +100,12 @@ def _cmd_adjust(args: argparse.Namespace) -> int:
         "level": interval.level,
         "method": args.method,
     })
-    inputs = {"target": args.target}
-    if args.history is not None:
-        inputs["history"] = args.history
-    if args.model is not None:
-        inputs["model"] = args.model
-    dataio.write_manifest(
-        args.out,
-        "adjust",
-        {
-            "alpha": args.alpha,
-            "method": args.method,
-            "draws": args.draws,
-            "seed": args.seed,
-            "out": str(args.out),
-        },
-        inputs=inputs,
-        outputs={"interval": args.out},
-    )
     print("\n".join(lines))
-    return EXIT_OK
+    inputs = {"target": args.target, "history": args.history, "model": args.model}
+    return inputs, {"interval": args.out}
 
 
-def _cmd_loo(args: argparse.Namespace) -> int:
+def _cmd_loo(args: argparse.Namespace) -> tuple[dict, dict]:
     history = dataio.load_history(args.history)
     alphas = _parse_float_list(args.alpha, "--alpha")
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
@@ -138,42 +122,21 @@ def _cmd_loo(args: argparse.Namespace) -> int:
     ]
 
     dataio.write_loo_table(args.out, rows)
-    dataio.write_manifest(
-        args.out,
-        "loo",
-        {
-            "alpha": args.alpha,
-            "method": args.method,
-            "draws": args.draws,
-            "seed": args.seed,
-            "out": str(args.out),
-        },
-        inputs={"history": args.history},
-        outputs={"table": args.out},
-    )
     for alpha, method, rate, width in rows:
         print(f"alpha={alpha} method={method} overlap_rate={rate!r} normalized_width={width!r}")
-    return EXIT_OK
+    return {"history": args.history}, {"table": args.out}
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> tuple[dict, dict]:
     cells = []
-    configs = dataio.load_sim_configs(args.config)
-    for cfg in configs:
+    for cfg in dataio.load_sim_configs(args.config):
         cells.extend(run_experiment(cfg))
     dataio.write_results(args.out, cells)
-    dataio.write_manifest(
-        args.out,
-        "simulate",
-        {"config": str(args.config), "cells": len(configs), "out": str(args.out)},
-        inputs={"config": args.config},
-        outputs={"results": args.out},
-    )
     print(f"wrote {len(cells)} result rows to {args.out}")
-    return EXIT_OK
+    return {"config": args.config}, {"results": args.out}
 
 
-def _cmd_tune_context(args: argparse.Namespace) -> int:
+def _cmd_tune_context(args: argparse.Namespace) -> tuple[dict, dict]:
     history = dataio.load_history(args.history)
     target_context = tuple(_parse_float_list(args.target_context, "--target-context"))
     if args.beta_grid is not None:
@@ -199,19 +162,8 @@ def _cmd_tune_context(args: argparse.Namespace) -> int:
         "grid_betas": [b for b, _ in profile],
         "grid_logliks": [ll for _, ll in profile],
     })
-    dataio.write_manifest(
-        args.out,
-        "tune-context",
-        {
-            "target_context": args.target_context,
-            "beta_grid": args.beta_grid,
-            "out": str(args.out),
-        },
-        inputs={"history": args.history},
-        outputs={"tuning": args.out},
-    )
     print("\n".join(lines[:4]))
-    return EXIT_OK
+    return {"history": args.history}, {"tuning": args.out}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -264,10 +216,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        inputs, outputs = args.func(args)
+        params = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
+        given = {role: path for role, path in inputs.items() if path is not None}
+        dataio.write_manifest(args.out, args.command, params, inputs=given, outputs=outputs)
+        return EXIT_OK
     except (FileNotFoundError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -174,6 +174,10 @@ def load_model(path: str | Path) -> BiasModel:
         warnings = tuple(w for w in pairs["warnings"].split(",") if w)
         diffs = tuple(float(x) for x in pairs["diffs"].split(",") if x)
         diff_vars = tuple(float(x) for x in pairs["diff_vars"].split(",") if x)
+        if not all(map(math.isfinite, diffs)):
+            raise ValueError(f"diffs must be finite, got {pairs['diffs']!r}")
+        if not all(math.isfinite(v) and v >= 0 for v in diff_vars):
+            raise ValueError(f"diff_vars must be finite and >= 0, got {pairs['diff_vars']!r}")
         return BiasModel(
             rho=float(pairs["rho"]),
             gamma2=float(pairs["gamma2"]),

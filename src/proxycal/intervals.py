@@ -19,9 +19,10 @@ from .core import BiasModel, DomainRecord, TargetRecord, _moments, _truncate, de
 
 DEFAULT_BOOTSTRAP_DRAWS = 4000
 
-# Draws are materialized in chunks of this many indices; the per-draw stream
-# addressing makes the result independent of the chunking.
-_BOOT_CHUNK = 1 << 16
+# Draws are materialized in chunks whose uniform block takes at most this many
+# bytes (at least one draw); the per-draw stream addressing makes the result
+# independent of the chunking.
+_BOOT_CHUNK_BYTES = 1 << 24
 
 # Sub-path tag for the bootstrap uniform stream.
 _BOOT_PATH = (0,)
@@ -81,6 +82,11 @@ def plugin_interval(target: TargetRecord, model: BiasModel, alpha: float) -> Con
     return wald_interval(debias(target, model), target.var_proxy + model.gamma2, alpha)
 
 
+def _draw_stride(m: int) -> int:
+    """Uniforms per draw over ``m`` domains: ``m`` indices and one normal, block-padded."""
+    return BLOCK * -(-(m + 1) // BLOCK)
+
+
 def _bootstrap_samples(
     d: np.ndarray,
     dv: np.ndarray,
@@ -97,7 +103,7 @@ def _bootstrap_samples(
     reproduces identical values.
     """
     m = len(d)
-    stride = BLOCK * -(-(m + 1) // BLOCK)
+    stride = _draw_stride(m)
     u = uniform_block(seed, _BOOT_PATH, start * stride, (stop - start) * stride)
     u = u.reshape(stop - start, stride)
 
@@ -117,8 +123,9 @@ def _bootstrap_draws(
     if draws < 2:
         raise ValueError(f"draws must be >= 2, got {draws}")
     samples = np.empty(draws)
-    for start in range(0, draws, _BOOT_CHUNK):
-        stop = min(start + _BOOT_CHUNK, draws)
+    chunk = max(1, _BOOT_CHUNK_BYTES // (8 * _draw_stride(len(d))))
+    for start in range(0, draws, chunk):
+        stop = min(start + chunk, draws)
         samples[start:stop] = _bootstrap_samples(d, dv, target, seed, start, stop)
     return samples
 

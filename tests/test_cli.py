@@ -12,9 +12,10 @@ from proxycal import (
     loo_overlap_rate,
     normalized_width,
 )
-from proxycal.cli import main
+from proxycal.cli import build_parser, main
 from proxycal.dataio import (
     SchemaError,
+    file_digest,
     load_history,
     load_model,
     load_sim_configs,
@@ -151,7 +152,9 @@ class TestModelFile:
         assert code == 2
         assert "duplicate key 'rho'" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("line", ["rho = nan", "gamma2 = nan", "gamma2 = inf"])
+    @pytest.mark.parametrize("line", ["rho = nan", "gamma2 = nan", "gamma2 = inf",
+                                      "diffs = nan,inf", "diff_vars = -1.0,nan",
+                                      "diff_vars = 0.0,-1.0,0.0"])
     def test_non_finite_model_number_names_file(self, tmp_path, capsys, line):
         path = tmp_path / "model.txt"
         write_model(path, BiasModel(0.02, 0.0005, 3, (0.02,) * 3, (0.0,) * 3))
@@ -536,7 +539,68 @@ class TestCliTuneContext:
         assert "context" in capsys.readouterr().err
 
 
+def context_history(tmp_path):
+    rows = [f"{row},{i},{-i}" for i, row in enumerate(THREE_ROWS)]
+    return history_csv(tmp_path, rows, header=HISTORY_HEADER + ",context_a,context_b")
+
+
+class TestFlagValues:
+    @pytest.mark.parametrize("command, flag, value", [
+        ("tune-context", "--target-context", "nan,0"),
+        ("tune-context", "--target-context", "inf,0"),
+        ("tune-context", "--beta-grid", "1,inf"),
+        ("loo", "--alpha", "nan"),
+    ])
+    def test_non_finite_flag_value_exit_2(self, tmp_path, capsys, command, flag, value):
+        hist = context_history(tmp_path)
+        out = tmp_path / "out.txt"
+        argv = [command, str(hist), f"{flag}={value}", "--out", str(out)]
+        if flag == "--beta-grid":
+            argv += ["--target-context", "0,0"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert flag in err and repr(value) in err and "finite" in err
+        assert not out.exists() and not manifest_path(out).exists()
+
+
 class TestManifests:
+    # argv of each command (with {history}, {target}, {model}, {config} and
+    # {out} to fill in), the input files given by role and the output role
+    COMMANDS = {
+        "fit": ("fit {history} --out {out}", ("history",), "model"),
+        "adjust-model": ("adjust --model {model} --target {target} --out {out}",
+                         ("model", "target"), "interval"),
+        "adjust-bootstrap": ("adjust --history {history} --target {target} --method bootstrap "
+                             "--draws 100 --seed 3 --out {out}", ("history", "target"), "interval"),
+        "loo": ("loo {history} --alpha 0.05,0.2 --out {out}", ("history",), "table"),
+        "simulate": ("simulate {config} --out {out}", ("config",), "results"),
+        "tune-context": ("tune-context {history} --target-context 0.5,-0.5 --out {out}",
+                         ("history",), "tuning"),
+    }
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_manifest_records_arguments_and_files(self, tmp_path, name):
+        template, given, role = self.COMMANDS[name]
+        paths = {
+            "history": context_history(tmp_path),
+            "target": target_csv(tmp_path),
+            "model": tmp_path / "model.txt",
+            "config": write(tmp_path / "cfg.txt", "n_domains = 3\nn_per_domain = 50\n"
+                            "replicates = 1\nbootstrap_draws = 50\nestimators = proxy_only\n"),
+            "out": tmp_path / "out.txt",
+        }
+        write_model(paths["model"], fit_mom(load_history(paths["history"])))
+        argv = template.format(**paths).split()
+        assert main(argv) == 0
+
+        manifest = json.loads(manifest_path(paths["out"]).read_text())
+        parsed = vars(build_parser().parse_args(argv))
+        assert manifest["command"] == parsed.pop("command")
+        del parsed["func"]
+        assert manifest["params"] == parsed
+        assert manifest["inputs"] == {r: file_digest(paths[r]) for r in given}
+        assert manifest["outputs"] == {role: file_digest(paths["out"])}
+
     def test_rerun_byte_identical_manifest(self, tmp_path):
         hist = history_csv(tmp_path, THREE_ROWS)
         out = tmp_path / "model.txt"

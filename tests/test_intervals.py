@@ -10,9 +10,11 @@ from proxycal import (
     TargetRecord,
     domain_bootstrap_interval,
     normal_quantile,
+    intervals,
     plugin_interval,
     wald_interval,
 )
+from proxycal.core import diff_arrays
 from proxycal.intervals import _bootstrap_samples
 
 from reference import bootstrap_mixture_quantile, normal_quantile_reference
@@ -181,6 +183,30 @@ class TestDomainBootstrap:
             ]
         )
         assert np.array_equal(full, pieces)
+
+    def test_chunks_bounded_by_bytes(self, monkeypatch):
+        # 5,000 draws keep the one-call reference below about 200 MB
+        k, draws = 1000, 5000
+        rng = np.random.default_rng(8)
+        history = history_of(zip(rng.normal(0.1, 0.2, k), rng.uniform(0.0, 0.01, k)))
+        target = TargetRecord("t", 0.7, 0.003)
+        chunks = []
+
+        def recorded(d, dv, target, seed, start, stop):
+            chunks.append((start, stop))
+            return _bootstrap_samples(d, dv, target, seed, start, stop)
+
+        monkeypatch.setattr(intervals, "_bootstrap_samples", recorded)
+        got = domain_bootstrap_interval(history, target, 0.1, draws=draws, seed=4)
+        uniforms_per_draw = 4 * -(-(k + 1) // 4)
+        assert len(chunks) > 1
+        assert [a for a, _ in chunks[1:]] == [b for _, b in chunks[:-1]]
+        assert (chunks[0][0], chunks[-1][1]) == (0, draws)
+        assert all(8 * uniforms_per_draw * (b - a) <= intervals._BOOT_CHUNK_BYTES
+                   for a, b in chunks)
+        d, dv = diff_arrays(history)
+        lower, upper = np.quantile(_bootstrap_samples(d, dv, target, 4, 0, draws), [0.05, 0.95])
+        assert (got.lower, got.upper) == (lower, upper)
 
     def test_translation_equivariance(self):
         history = history_of([(0.05, 0.001), (0.2, 0.002), (-0.1, 0.004)])
