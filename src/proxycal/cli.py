@@ -58,6 +58,16 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
     return values
 
 
+def _check_alphas(alphas: list[float], text: str | float) -> None:
+    if not all(0.0 < a < 1.0 for a in alphas):
+        raise dataio.SchemaError(f"--alpha values must lie in (0, 1), got {text!r}")
+
+
+def _check_draws(draws: int) -> None:
+    if draws < 2:
+        raise dataio.SchemaError(f"--draws must be >= 2 for the bootstrap, got {draws}")
+
+
 def _cmd_fit(args: argparse.Namespace) -> tuple[dict, dict]:
     history = dataio.load_history(args.history)
     model = fit_mom(history)
@@ -69,6 +79,9 @@ def _cmd_fit(args: argparse.Namespace) -> tuple[dict, dict]:
 
 
 def _cmd_adjust(args: argparse.Namespace) -> tuple[dict, dict]:
+    _check_alphas([args.alpha], args.alpha)
+    if args.method == "bootstrap":
+        _check_draws(args.draws)
     if args.history is None and args.model is None:
         raise dataio.SchemaError("one of --history or --model is required")
     target = dataio.load_target(args.target)
@@ -108,10 +121,13 @@ def _cmd_adjust(args: argparse.Namespace) -> tuple[dict, dict]:
 def _cmd_loo(args: argparse.Namespace) -> tuple[dict, dict]:
     history = dataio.load_history(args.history)
     alphas = _parse_float_list(args.alpha, "--alpha")
+    _check_alphas(alphas, args.alpha)
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
     for m in methods:
         if m not in METHODS:
             raise dataio.SchemaError(f"unknown method {m!r}; choose from {METHODS}")
+    if "bootstrap" in methods:
+        _check_draws(args.draws)
 
     rows = [
         (alpha, method, rate, width)

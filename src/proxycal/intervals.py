@@ -8,11 +8,11 @@ propagates the sampling noise of the fitted bias distribution itself.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from ._rng import BLOCK, uniform_block
 from .core import BiasModel, DomainRecord, TargetRecord, _moments, _truncate, debias, diff_arrays
@@ -49,11 +49,85 @@ class ConfidenceInterval:
         return self.upper - self.lower
 
 
+# Cephes ndtri (S. L. Moshier): rational approximations in y - 1/2 on the
+# central range and in 1/sqrt(-2 log y) on two tail ranges, leading
+# coefficient first.
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+_S2PI = 2.50662827463100050242  # sqrt(2 pi)
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1, -5.66762857469070293439e1,
+       1.39312609387279679503e1, -1.23916583867381258016e0)
+_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0, 8.63602421390890590575e1,
+       -2.25462687854119370527e2, 2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+# tail with 2 <= sqrt(-2 log y) < 8
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1, 5.71628192246421288162e1,
+       4.40805073893200834700e1, 1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2, -8.57456785154685413611e-4)
+_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1, 4.13172038254672030440e1,
+       1.50425385692907503408e1, 2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+# tail with sqrt(-2 log y) >= 8
+_P2 = (3.23774891776946035970e0, 6.91522889068984211695e0, 3.93881025292474443415e0,
+       1.33303460815807542389e0, 2.01485389549179081538e-1, 1.23716634817820021358e-2,
+       3.01581553508235416007e-4, 2.65806974686737550832e-6, 6.23974539184983293730e-9)
+_Q2 = (6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081330271e0,
+       2.16236993594496635890e-1, 1.34204006088543189037e-2, 3.28014464682127739104e-4,
+       2.89247864745380683936e-6, 6.79019408009981274425e-9)
+
+
+def _polevl(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
+    """Horner's rule, as Cephes ``polevl``."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: np.ndarray, coef: tuple[float, ...]) -> np.ndarray:
+    """Horner's rule with an implied leading coefficient of 1, as Cephes ``p1evl``."""
+    return _polevl(x, (1.0, *coef))
+
+
+def _log(a: np.ndarray) -> np.ndarray:
+    # math.log is the C library's log, which Cephes calls; np.log may round differently
+    return np.array(list(map(math.log, a.tolist())))
+
+
+def _ndtri(y0: np.ndarray) -> np.ndarray:
+    """Standard normal quantile of each entry of ``y0`` in [0, 1], as Cephes ``ndtri``.
+
+    The tails are computed elementwise with the C library's log, so results
+    match a compiled Cephes bit for bit; 0 and 1 map to -inf and inf.
+    """
+    flip = y0 > 1.0 - _EXP_M2
+    y = np.where(flip, 1.0 - y0, y0)
+    x = np.empty_like(y)
+
+    central = y > _EXP_M2
+    yc = y[central] - 0.5
+    y2 = yc * yc
+    x[central] = (yc + yc * (y2 * _polevl(y2, _P0) / _p1evl(y2, _Q0))) * _S2PI
+
+    tail = ~central & (y > 0.0)
+    t = np.sqrt(-2.0 * _log(y[tail]))
+    t0 = t - _log(t) / t
+    z = 1.0 / t
+    near = z * _polevl(z, _P1) / _p1evl(z, _Q1)
+    far = z * _polevl(z, _P2) / _p1evl(z, _Q2)
+    x[tail] = t0 - np.where(t < 8.0, near, far)
+    x[y == 0.0] = np.inf
+    # the tails are computed in the upper half; unflipped ones belong below
+    lower = ~central & ~flip
+    x[lower] = -x[lower]
+    return x
+
+
+@functools.lru_cache(maxsize=256)
 def normal_quantile(p: float) -> float:
     """Standard normal quantile at probability ``p`` in (0, 1)."""
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie strictly in (0, 1), got {p}")
-    return float(ndtri(p))
+    return float(_ndtri(np.array([p]))[0])
 
 
 def _check_alpha(alpha: float) -> None:
@@ -108,7 +182,7 @@ def _bootstrap_samples(
     u = u.reshape(stop - start, stride)
 
     # shift keeps the uniform strictly inside (0, 1) for the inverse CDF
-    z = ndtri(u[:, m] + 2.0 ** -54)
+    z = _ndtri(u[:, m] + 2.0 ** -54)
     idx = np.minimum((u[:, :m] * m).astype(np.intp), m - 1)
     # the uniforms go before the resampled arrays exist, bounding peak memory
     del u

@@ -19,7 +19,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit, ndtr
 
 from ._rng import derive_seed, substream
 from .core import DomainRecord, TargetRecord, fit_mom
@@ -120,27 +119,58 @@ def sample_unit_ball(p: int, rng: np.random.Generator) -> np.ndarray:
     return direction * (radius / norm)
 
 
+def _count(x, delta: float, p: int):
+    """Number of coordinates at or above ``delta``, one column at a time."""
+    x = np.asarray(x, dtype=float)
+    if x.shape[-1] != p:
+        raise ValueError(f"x has {x.shape[-1]} coordinates, expected p={p}")
+    above = x >= delta
+    count = np.zeros(x.shape[:-1], dtype=np.intp)
+    for j in range(p):
+        count += above[..., j]
+    return count
+
+
 def threshold_count(x, delta: float, p: int):
     """Centered count of coordinates at or above ``delta``: in [-p/2, p/2].
 
     Accepts a single length-``p`` vector or an ``(n, p)`` batch.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != p:
-        raise ValueError(f"x has {x.shape[-1]} coordinates, expected p={p}")
-    return (x >= delta).sum(axis=-1) - p / 2.0
+    return _count(x, delta, p) - p / 2.0
+
+
+def _expit(v: float) -> float:
+    """Logistic function ``1 / (1 + exp(-v))``; 0 where ``exp(-v)`` overflows."""
+    try:
+        return 1.0 / (1.0 + math.exp(-v))
+    except OverflowError:
+        return 0.0
+
+
+def _ndtr(a: float) -> float:
+    """Standard normal CDF, with the branches of Cephes ``ndtr``."""
+    x = a * math.sqrt(0.5)
+    z = abs(x)
+    if z < math.sqrt(0.5):
+        return 0.5 + 0.5 * math.erf(x)
+    y = 0.5 * math.erfc(z)
+    return 1.0 - y if x > 0 else y
 
 
 def outcome_prob(x, delta: float, cfg: SimConfig):
     """Probability the binary primary outcome fires, logistic in the count."""
-    t = threshold_count(x, delta, cfg.dim_p)
-    return expit(cfg.lambda1 * t - cfg.phi1)
+    # the count takes p + 1 values, so the probability is a lookup
+    p = cfg.dim_p
+    table = np.array([_expit(cfg.lambda1 * (c - p / 2.0) - cfg.phi1) for c in range(p + 1)])
+    return table[_count(x, delta, p)]
 
 
 def proxy_score(x, cfg: SimConfig):
     """Deterministic proxy in (0, 1); always thresholds at zero, so it never drifts."""
-    t = threshold_count(x, 0.0, cfg.dim_p)
-    return np.arctan(cfg.lambda2 * t + cfg.phi2) / math.pi + 0.5
+    p = cfg.dim_p
+    t = np.arange(p + 1) - p / 2.0
+    table = np.arctan(cfg.lambda2 * t + cfg.phi2) / math.pi + 0.5
+    return table[_count(x, 0.0, p)]
 
 
 def density_ratio(x, mu_src, mu_tgt):
@@ -321,14 +351,14 @@ def exact_prevalence(cfg: SimConfig) -> float:
     ``Phi(mu_j)``; summing the outcome probability over all 2^p indicator
     patterns gives the prevalence in closed form.
     """
-    pj = ndtr(np.asarray(cfg.mu_target))
+    pj = [_ndtr(m) for m in cfg.mu_target]
     total = 0.0
     for pattern in itertools.product((0, 1), repeat=cfg.dim_p):
         weight = 1.0
         for b, p in zip(pattern, pj):
             weight *= p if b else 1.0 - p
         t = sum(pattern) - cfg.dim_p / 2.0
-        total += weight * float(expit(cfg.lambda1 * t - cfg.phi1))
+        total += weight * _expit(cfg.lambda1 * t - cfg.phi1)
     return total
 
 

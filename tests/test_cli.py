@@ -562,6 +562,29 @@ class TestFlagValues:
         assert flag in err and repr(value) in err and "finite" in err
         assert not out.exists() and not manifest_path(out).exists()
 
+    @pytest.mark.parametrize("argv, flag, shown", [
+        ("loo {history} --alpha 1.5", "--alpha", "'1.5'"),
+        ("loo {history} --alpha 0.05,0", "--alpha", "'0.05,0'"),
+        ("adjust --history {history} --target {target} --alpha 0", "--alpha", "0.0"),
+        ("adjust --history {history} --target {target} --alpha nan", "--alpha", "nan"),
+        ("adjust --history {history} --target {target} --method bootstrap --draws 1",
+         "--draws", "1"),
+        ("loo {history} --method bootstrap --draws 1", "--draws", "1"),
+    ])
+    def test_out_of_range_flag_value_exit_2(self, tmp_path, capsys, argv, flag, shown):
+        out = tmp_path / "out.txt"
+        paths = {"history": context_history(tmp_path), "target": target_csv(tmp_path)}
+        assert main(argv.format(**paths).split() + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"{flag} " in err and f"got {shown}" in err
+        assert not out.exists() and not manifest_path(out).exists()
+
+    def test_draws_unchecked_without_bootstrap(self, tmp_path):
+        out = tmp_path / "out.txt"
+        argv = ["loo", str(context_history(tmp_path)), "--method", "plugin", "--draws", "1"]
+        assert main(argv + ["--out", str(out)]) == 0
+        assert out.exists()
+
 
 class TestManifests:
     # argv of each command (with {history}, {target}, {model}, {config} and

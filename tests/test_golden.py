@@ -5,12 +5,21 @@ its output file (never the manifest, which records paths) with a pinned
 digest. A pin changes only in a commit whose purpose is a deliberate numeric
 change; that commit states the largest absolute and relative output
 difference in CHANGES.md.
+
+The same commands also run in a fresh interpreter that cannot import scipy,
+which only the tests need, and must reproduce the pinned digests there.
 """
 
 import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import proxycal
 from proxycal.cli import main
 
 # Twelve domains with two context columns and a timestamp. Domain d07 is an
@@ -107,3 +116,39 @@ def test_output_digest_pinned(files, name, capsys):
     argv = [a.format(**files) for a in COMMANDS[name]] + ["--out", str(out)]
     assert main(argv) == 0, capsys.readouterr().err
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINS[name]
+
+
+def run_python(code: str, *args: str) -> str:
+    """Stdout of ``python -c code args`` with this proxycal importable."""
+    src = str(Path(proxycal.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+    return subprocess.run([sys.executable, "-c", code, *args], check=True,
+                          capture_output=True, text=True, env=env).stdout
+
+
+WITHOUT_SCIPY = """\
+import hashlib, json, sys
+sys.modules["scipy"] = None  # every scipy import now raises ImportError
+from proxycal.cli import main
+digests = {}
+for name, argv in json.loads(sys.argv[1]).items():
+    assert main(argv) == 0, name
+    with open(argv[-1], "rb") as fh:
+        digests[name] = hashlib.sha256(fh.read()).hexdigest()
+print(json.dumps(digests))
+"""
+
+
+def test_outputs_pinned_without_scipy(files):
+    runs = {
+        name: [a.format(**files) for a in argv] + ["--out", str(files["dir"] / f"{name}.out")]
+        for name, argv in COMMANDS.items()
+    }
+    stdout = run_python(WITHOUT_SCIPY, json.dumps(runs))
+    assert json.loads(stdout.splitlines()[-1]) == PINS
+
+
+def test_cli_import_loads_no_scipy():
+    code = "import sys, proxycal.cli; print([m for m in sys.modules if m.startswith('scipy')])"
+    assert run_python(code).strip() == "[]"

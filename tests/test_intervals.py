@@ -11,11 +11,12 @@ from proxycal import (
     domain_bootstrap_interval,
     normal_quantile,
     intervals,
+    loo_table,
     plugin_interval,
     wald_interval,
 )
 from proxycal.core import diff_arrays
-from proxycal.intervals import _bootstrap_samples
+from proxycal.intervals import _bootstrap_samples, _ndtri
 
 from reference import bootstrap_mixture_quantile, normal_quantile_reference
 
@@ -40,6 +41,52 @@ class TestNormalQuantile:
     def test_domain_errors(self, p):
         with pytest.raises(ValueError):
             normal_quantile(p)
+
+    def test_quantiles_cached_across_loo(self, monkeypatch):
+        history = [
+            DomainRecord(f"d{i}", 0.4, 0.45 + 0.01 * (i % 7), 1e-4, 2e-4, 5e-5)
+            for i in range(50)
+        ]
+        alphas = [0.01, 0.05, 0.2]
+        calls = []
+
+        def counted(y):
+            calls.append(len(y))
+            return _ndtri(y)
+
+        monkeypatch.setattr(intervals, "_ndtri", counted)
+        normal_quantile.cache_clear()
+        cached = loo_table(history, alphas, "plugin")
+        assert len(calls) <= 3
+        monkeypatch.setattr(intervals, "normal_quantile", normal_quantile.__wrapped__)
+        assert loo_table(history, alphas, "plugin") == cached
+        assert len(calls) > 3
+
+
+def neighbours(c, steps=8):
+    """``c`` and its ``steps`` nearest doubles on either side."""
+    out, lo, hi = [c], c, c
+    for _ in range(steps):
+        lo, hi = np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)
+        out += [lo, hi]
+    return out
+
+
+class TestNdtriPort:
+    def test_equals_scipy_ndtri(self):
+        special = pytest.importorskip("scipy.special")
+        uniforms = np.random.default_rng(20260).random(300_000) + 2.0 ** -54
+        lower_tail = np.logspace(-300, -1, 2_000)
+        upper_tail = 1.0 - np.logspace(-16, -1, 2_000)
+        # branch edges: exp(-2) on both sides and the tail switch at exp(-32)
+        edges = [v for c in (math.exp(-2), 1 - math.exp(-2), math.exp(-32)) for v in neighbours(c)]
+        # the bootstrap's shifted uniform can round to exactly 1
+        exact = [0.0, 1.0, (1.0 - 2.0 ** -53) + 2.0 ** -54, 0.5]
+        y = np.concatenate([uniforms, lower_tail, upper_tail, edges, exact])
+        np.testing.assert_array_equal(_ndtri(y), special.ndtri(y))
+
+    def test_endpoints_are_infinite(self):
+        assert _ndtri(np.array([0.0, 1.0])).tolist() == [-math.inf, math.inf]
 
 
 class TestWaldInterval:

@@ -25,9 +25,9 @@ LAYER = {
 
 # dataio reads and writes simulation configs and results, so it imports the
 # simulator. The edge costs about 11 ms of start-up: any proxycal import runs
-# the package __init__, which imports every module, and scipy.special comes in
-# through intervals. ROADMAP, "Lean CLI start-up and one-way layering", moves
-# that I/O next to simulation and removes this edge.
+# the package __init__, which imports every module; proxycal imports nothing
+# from scipy, so numpy is the only heavy import. ROADMAP, "Simulation config
+# I/O next to simulation", moves that I/O and removes this edge.
 SIMULATION_IMPORTERS = {"cli", "dataio"}
 
 

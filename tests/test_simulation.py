@@ -20,7 +20,13 @@ from proxycal import (
     threshold_count,
 )
 from proxycal import simulation
-from proxycal.simulation import DomainData, _replicate_domains, _weighted_transport
+from proxycal.simulation import (
+    DomainData,
+    _expit,
+    _ndtr,
+    _replicate_domains,
+    _weighted_transport,
+)
 from proxycal._rng import substream
 
 from reference import enumerated_prevalence, enumerated_prevalence_sd
@@ -106,6 +112,52 @@ class TestProxyScore:
         x = rng.standard_normal((1000, 4))
         s = proxy_score(x, CFG)
         assert np.all((s > 0) & (s < 1))
+
+
+def port_configs(p):
+    """Configs over p coordinates; lambda1 = 800 sends the logistic into overflow."""
+    for lam in (0.0, 0.5, 3.0, 800.0):
+        yield SimConfig(n_domains=2, n_per_domain=10, dim_p=p, lambda1=lam, phi1=2.0,
+                        lambda2=lam, phi2=-1.5, mu_target=(0.0,) * p)
+
+
+class TestSpecialPorts:
+    """The lookup tables and scalar kernels against the formulas they replace."""
+
+    @pytest.mark.parametrize("p", [1, 2, 4, 8])
+    def test_outcome_table_equals_expit(self, p):
+        special = pytest.importorskip("scipy.special")
+        x = substream(31, p).standard_normal((20_000, p))
+        for cfg in port_configs(p):
+            for delta in (-0.5, 0.0, 0.75):
+                t = (x >= delta).sum(axis=-1) - p / 2.0
+                expected = special.expit(cfg.lambda1 * t - cfg.phi1)
+                np.testing.assert_array_equal(outcome_prob(x, delta, cfg), expected)
+
+    @pytest.mark.parametrize("p", [1, 2, 4, 8])
+    def test_proxy_table_equals_arctan(self, p):
+        x = substream(32, p).standard_normal((20_000, p))
+        t = (x >= 0.0).sum(axis=-1) - p / 2.0
+        for cfg in port_configs(p):
+            expected = np.arctan(cfg.lambda2 * t + cfg.phi2) / math.pi + 0.5
+            np.testing.assert_array_equal(proxy_score(x, cfg), expected)
+
+    def test_expit_equals_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        v = np.linspace(-800.0, 800.0, 20_001)
+        assert [_expit(a) for a in v.tolist()] == special.expit(v).tolist()
+        assert _expit(-800.0) == 0.0
+
+    def test_ndtr_equals_scipy_at_used_means(self):
+        special = pytest.importorskip("scipy.special")
+        for mu in (0.0, 0.25, -0.25, 0.5, -0.5, 10.0):
+            assert _ndtr(mu) == special.ndtr(mu)
+
+    def test_ndtr_close_to_scipy(self):
+        special = pytest.importorskip("scipy.special")
+        a = np.linspace(-10.0, 10.0, 4_001)
+        np.testing.assert_allclose([_ndtr(v) for v in a.tolist()], special.ndtr(a),
+                                   rtol=1e-14, atol=0.0)
 
 
 class TestDensityRatio:
