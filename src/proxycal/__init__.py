@@ -39,7 +39,7 @@ from .diagnostics import (
 from .intervals import (
     DEFAULT_BOOTSTRAP_DRAWS,
     ConfidenceInterval,
-    domain_bootstrap_interval,
+    bootstrap_interval,
     normal_quantile,
     plugin_interval,
     wald_interval,
@@ -52,7 +52,6 @@ from .simulation import (
     SimConfig,
     build_history,
     cov_components,
-    density_ratio,
     estimate_all,
     exact_prevalence,
     gen_domain,
@@ -81,14 +80,13 @@ __all__ = [
     "TargetRecord",
     "WARN_GAMMA2_TRUNCATED",
     "WARN_INSUFFICIENT_DOMAINS",
+    "bootstrap_interval",
     "build_history",
     "contextual_interval",
     "cov_components",
     "debias",
     "default_beta_grid",
-    "density_ratio",
     "diff_stats",
-    "domain_bootstrap_interval",
     "estimate_all",
     "exact_prevalence",
     "fit_mom",

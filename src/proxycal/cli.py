@@ -27,11 +27,7 @@ from .contextual import (
 )
 from .core import debias, fit_mom
 from .diagnostics import METHODS, loo_table
-from .intervals import (
-    DEFAULT_BOOTSTRAP_DRAWS,
-    domain_bootstrap_interval,
-    plugin_interval,
-)
+from .intervals import DEFAULT_BOOTSTRAP_DRAWS, bootstrap_interval, plugin_interval
 from .simulation import run_experiment
 
 EXIT_OK = 0
@@ -53,6 +49,8 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
         values = [float(p) for p in text.split(",") if p.strip()]
     except ValueError:
         raise dataio.SchemaError(f"cannot parse {flag} value {text!r}") from None
+    if not values:
+        raise dataio.SchemaError(f"{flag} needs at least one value, got {text!r}")
     if not all(math.isfinite(v) for v in values):
         raise dataio.SchemaError(f"{flag} values must be finite, got {text!r}")
     return values
@@ -85,11 +83,8 @@ def _cmd_adjust(args: argparse.Namespace) -> tuple[dict, dict]:
     if args.history is None and args.model is None:
         raise dataio.SchemaError("one of --history or --model is required")
     target = dataio.load_target(args.target)
-
-    history = None
     if args.history is not None:
-        history = dataio.load_history(args.history)
-        model = fit_mom(history)
+        model = fit_mom(dataio.load_history(args.history))
     else:
         model = dataio.load_model(args.model)
     _emit_model_warnings(model)
@@ -97,14 +92,7 @@ def _cmd_adjust(args: argparse.Namespace) -> tuple[dict, dict]:
     if args.method == "plugin":
         interval = plugin_interval(target, model, args.alpha)
     else:
-        if history is None:
-            raise dataio.SchemaError(
-                "bootstrap adjustment resamples per-domain differences; "
-                "pass --history (a fitted model alone is not enough)"
-            )
-        interval = domain_bootstrap_interval(
-            history, target, args.alpha, draws=args.draws, seed=args.seed
-        )
+        interval = bootstrap_interval(target, model, args.alpha, draws=args.draws, seed=args.seed)
 
     lines = dataio.write_kv(args.out, {
         "point": debias(target, model),
@@ -123,6 +111,8 @@ def _cmd_loo(args: argparse.Namespace) -> tuple[dict, dict]:
     alphas = _parse_float_list(args.alpha, "--alpha")
     _check_alphas(alphas, args.alpha)
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
+    if not methods:
+        raise dataio.SchemaError(f"--method needs at least one value, got {args.method!r}")
     for m in methods:
         if m not in METHODS:
             raise dataio.SchemaError(f"unknown method {m!r}; choose from {METHODS}")
@@ -195,8 +185,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit.set_defaults(func=_cmd_fit)
 
     p_adj = sub.add_parser("adjust", help="adjusted interval for a target record")
-    p_adj.add_argument("--history", help="history CSV (required for bootstrap)")
-    p_adj.add_argument("--model", help="fitted model file (plugin only)")
+    p_adj.add_argument("--history", help="history CSV")
+    p_adj.add_argument("--model", help="fitted model file")
     p_adj.add_argument("--target", required=True, help="target CSV path")
     p_adj.add_argument("--alpha", type=float, default=0.05)
     p_adj.add_argument("--method", choices=("plugin", "bootstrap"), default="plugin")

@@ -19,7 +19,9 @@ from dataclasses import MISSING, asdict, fields
 from pathlib import Path
 from typing import get_type_hints
 
-from .core import BiasModel, DomainRecord, InvalidRecordError, TargetRecord
+import numpy as np
+
+from .core import BiasModel, DomainRecord, InvalidRecordError, TargetRecord, _bias_model
 from .simulation import CellResult, SimConfig
 
 TOOL_VERSION = "0.1.0"
@@ -167,27 +169,40 @@ def _parse_kv(path: str | Path) -> dict[str, str]:
 
 
 def load_model(path: str | Path) -> BiasModel:
+    """The moment fit of a model file's ``diffs`` and ``diff_vars``.
+
+    The stored ``rho``, ``gamma2``, ``n_domains`` and ``warnings`` must equal
+    that refit exactly, as they do in every file :func:`write_model` writes.
+    """
     pairs = _parse_kv(path)
     if pairs.get("format") != MODEL_FORMAT:
         raise SchemaError(f"{path}: not a {MODEL_FORMAT} file")
     try:
-        warnings = tuple(w for w in pairs["warnings"].split(",") if w)
+        stored = {
+            "rho": float(pairs["rho"]),
+            "gamma2": float(pairs["gamma2"]),
+            "n_domains": int(pairs["n_domains"]),
+            "warnings": tuple(w for w in pairs["warnings"].split(",") if w),
+        }
         diffs = tuple(float(x) for x in pairs["diffs"].split(",") if x)
         diff_vars = tuple(float(x) for x in pairs["diff_vars"].split(",") if x)
         if not all(map(math.isfinite, diffs)):
             raise ValueError(f"diffs must be finite, got {pairs['diffs']!r}")
         if not all(math.isfinite(v) and v >= 0 for v in diff_vars):
             raise ValueError(f"diff_vars must be finite and >= 0, got {pairs['diff_vars']!r}")
-        return BiasModel(
-            rho=float(pairs["rho"]),
-            gamma2=float(pairs["gamma2"]),
-            n_domains=int(pairs["n_domains"]),
-            diffs=diffs,
-            diff_vars=diff_vars,
-            warnings=warnings,
-        )
+        for key in ("rho", "gamma2"):
+            if not math.isfinite(stored[key]):
+                raise ValueError(f"{key} must be finite, got {stored[key]}")
+        if not diffs:
+            raise ValueError("diffs must be non-empty")
+        model = _bias_model(np.array(diffs), np.array(diff_vars))
     except (KeyError, ValueError) as exc:
         raise SchemaError(f"{path}: malformed model file: {exc}") from None
+    for key, value in stored.items():
+        if getattr(model, key) != value:
+            raise SchemaError(f"{path}: stored {key} = {pairs[key]!r}, but the fit of its "
+                              f"diffs and diff_vars gives {getattr(model, key)!r}")
+    return model
 
 
 # Parser of a config value, by the type of its SimConfig field.

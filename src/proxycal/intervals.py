@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import BLOCK, uniform_block
-from .core import BiasModel, DomainRecord, TargetRecord, _moments, _truncate, debias, diff_arrays
+from .core import BiasModel, TargetRecord, _moments, _truncate, debias
 
 DEFAULT_BOOTSTRAP_DRAWS = 4000
 
@@ -210,24 +210,23 @@ def _quantile_interval(samples: np.ndarray, alpha: float) -> ConfidenceInterval:
     return ConfidenceInterval(float(lower), float(upper), 1.0 - alpha)
 
 
-def domain_bootstrap_interval(
-    history: list[DomainRecord],
+def bootstrap_interval(
     target: TargetRecord,
+    model: BiasModel,
     alpha: float,
     draws: int = DEFAULT_BOOTSTRAP_DRAWS,
     seed: int = 0,
 ) -> ConfidenceInterval:
-    """Interval from resampling historical domains with replacement.
+    """Interval from resampling the model's domains with replacement.
 
-    Each draw resamples the domains, refits the bias moments on the resample
-    (same divisor and zero truncation as the full-sample fit, deviations about
-    the resampled mean), then samples a hypothetical target value from the
-    implied normal. Endpoints are the empirical ``alpha/2`` and ``1 - alpha/2``
-    quantiles with linear interpolation between order statistics. Output is a
-    pure function of ``(history, target, alpha, draws, seed)``.
+    Each draw resamples the ``(diffs, diff_vars)`` pairs, every domain with
+    equal probability (the weights of a :func:`fit_weighted_mom` model are not
+    carried: a :class:`BiasModel` does not hold them), refits the bias moments
+    on the resample as the full fit does, then samples a hypothetical target
+    value from the implied normal. Endpoints are the empirical ``alpha/2`` and
+    ``1 - alpha/2`` quantiles with linear interpolation. Output is a pure
+    function of ``(target, model.diffs, model.diff_vars, alpha, draws, seed)``.
     """
     _check_alpha(alpha)
-    if not history:
-        raise ValueError("domain_bootstrap_interval requires a non-empty history")
-    d, dv = diff_arrays(history)
+    d, dv = np.array(model.diffs), np.array(model.diff_vars)
     return _quantile_interval(_bootstrap_draws(d, dv, target, draws, seed), alpha)

@@ -22,7 +22,7 @@ import numpy as np
 
 from ._rng import derive_seed, substream
 from .core import DomainRecord, TargetRecord, fit_mom
-from .intervals import domain_bootstrap_interval, plugin_interval, wald_interval
+from .intervals import bootstrap_interval, plugin_interval, wald_interval
 
 ESTIMATORS = ("primary_only", "proxy_only", "ppi", "ppi_weighted")
 ADJUSTMENTS = ("none", "plugin", "bootstrap")
@@ -171,18 +171,6 @@ def proxy_score(x, cfg: SimConfig):
     t = np.arange(p + 1) - p / 2.0
     table = np.arctan(cfg.lambda2 * t + cfg.phi2) / math.pi + 0.5
     return table[_count(x, 0.0, p)]
-
-
-def density_ratio(x, mu_src, mu_tgt):
-    """Target-over-source Gaussian density ratio at ``x`` (unit covariance)."""
-    x = np.asarray(x, dtype=float)
-    mu_src = np.asarray(mu_src, dtype=float)
-    mu_tgt = np.asarray(mu_tgt, dtype=float)
-    if mu_src.shape != mu_tgt.shape or x.shape[-1] != mu_src.shape[0]:
-        raise ValueError("x, mu_src and mu_tgt must agree in dimension")
-    dt = ((x - mu_tgt) ** 2).sum(axis=-1)
-    ds = ((x - mu_src) ** 2).sum(axis=-1)
-    return np.exp(0.5 * (ds - dt))
 
 
 def gen_domain(cfg: SimConfig, mu, delta: float, rng: np.random.Generator) -> DomainData:
@@ -395,21 +383,21 @@ def _run_replicate(cfg: SimConfig, rep: int, truth: float) -> dict[tuple[str, st
     for est_name in cfg.estimators:
         view = table[est_name]
         value, variance = float(view[0][-1]), float(view[1][-1])
-        history = None
+        model = None
         if any(adj != "none" for adj in cfg.adjustments):
-            history = _history_records(theta_hat, var_primary, view)
+            model = fit_mom(_history_records(theta_hat, var_primary, view))
         target = TargetRecord("target", theta_star_hat=value, var_proxy=variance)
         for adj in cfg.adjustments:
             if adj == "none":
                 iv = wald_interval(value, variance, cfg.alpha)
             elif adj == "plugin":
-                iv = plugin_interval(target, fit_mom(history), cfg.alpha)
+                iv = plugin_interval(target, model, cfg.alpha)
             else:
                 # seed indexed by the canonical estimator position so cell
                 # results do not depend on which estimators were requested
                 boot_seed = derive_seed(cfg.seed, rep, _PATH_BOOT, ESTIMATORS.index(est_name))
-                iv = domain_bootstrap_interval(
-                    history, target, cfg.alpha, draws=cfg.bootstrap_draws, seed=boot_seed
+                iv = bootstrap_interval(
+                    target, model, cfg.alpha, draws=cfg.bootstrap_draws, seed=boot_seed
                 )
             out[(est_name, adj)] = (iv.lower <= truth <= iv.upper, iv.width)
     return out

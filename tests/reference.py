@@ -84,6 +84,26 @@ def bootstrap_mixture_quantile(ds, dvs, theta_star, var_proxy, p):
     return hi
 
 
+def density_ratio(x, mu_src, mu_tgt):
+    """Target-over-source Gaussian density ratio at the point ``x`` (unit covariance)."""
+    ds = sum((a - m) ** 2 for a, m in zip(x, mu_src))
+    dt = sum((a - m) ** 2 for a, m in zip(x, mu_tgt))
+    return math.exp(0.5 * (ds - dt))
+
+
+def transport_reference(xs, resids, mu_src, mu_tgt):
+    """Importance-weighted mean residual of a source moved to ``mu_tgt``, and its variance.
+
+    The density ratios are normalised to weights ``w``; returns
+    ``delta = sum w r`` and ``sum w^2 (r - delta)^2``.
+    """
+    ratios = [density_ratio(x, mu_src, mu_tgt) for x in xs]
+    total = sum(ratios)
+    ws = [r / total for r in ratios]
+    delta = sum(w * r for w, r in zip(ws, resids))
+    return delta, sum(w * w * (r - delta) ** 2 for w, r in zip(ws, resids))
+
+
 def enumerated_prevalence(mu, lambda1=0.5, phi1=2.0):
     """Exact prevalence by summing over all threshold indicator patterns."""
     p = len(mu)

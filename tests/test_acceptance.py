@@ -16,7 +16,7 @@ from proxycal import (
     DomainRecord,
     SimConfig,
     TargetRecord,
-    domain_bootstrap_interval,
+    bootstrap_interval,
     fit_mom,
     fit_weighted_mom,
     loo_overlap_rate,
@@ -218,14 +218,14 @@ def test_criterion_7_bootstrap_degeneracy():
     target = TargetRecord("t", 0.5, 0.0004)
 
     single = [rec(0.1, 0.0, "only")]
-    iv1 = domain_bootstrap_interval(single, target, 0.05, draws=100_000, seed=SEED)
+    iv1 = bootstrap_interval(target, fit_mom(single), 0.05, draws=100_000, seed=SEED)
     ref1 = plugin_interval(target, fit_mom(single), 0.05)
     tol1 = 0.01 * ref1.width
     ok1 = (abs(iv1.lower - ref1.lower) <= tol1 and abs(iv1.upper - ref1.upper) <= tol1
            and abs(iv1.width - ref1.width) <= tol1)
 
     identical = [rec(0.2, 0.01, f"d{i}") for i in range(4)]
-    iv2 = domain_bootstrap_interval(identical, target, 0.05, draws=100_000, seed=SEED + 1)
+    iv2 = bootstrap_interval(target, fit_mom(identical), 0.05, draws=100_000, seed=SEED + 1)
     ref2 = plugin_interval(target, fit_mom(identical), 0.05)
     tol2 = 0.01 * ref2.width
     ok2 = (abs(iv2.lower - ref2.lower) <= tol2 and abs(iv2.upper - ref2.upper) <= tol2
@@ -234,7 +234,7 @@ def test_criterion_7_bootstrap_degeneracy():
     ds = [0.0, 0.2, 0.4]
     trio = [rec(d, 0.0, f"d{i}") for i, d in enumerate(ds)]
     target3 = TargetRecord("t", 1.0, 0.0)
-    iv3 = domain_bootstrap_interval(trio, target3, 0.10, draws=200_000, seed=SEED + 2)
+    iv3 = bootstrap_interval(target3, fit_mom(trio), 0.10, draws=200_000, seed=SEED + 2)
     qlo = bootstrap_mixture_quantile(ds, [0.0] * 3, 1.0, 0.0, 0.05)
     qhi = bootstrap_mixture_quantile(ds, [0.0] * 3, 1.0, 0.0, 0.95)
     # 27-component mixture quantiles; 0.004 is ~4 empirical-quantile standard

@@ -1,13 +1,19 @@
 import dataclasses
 import json
+import math
+import random
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from proxycal import (
     BiasModel,
     DomainRecord,
     SimConfig,
+    TargetRecord,
+    bootstrap_interval,
     fit_mom,
     loo_overlap_rate,
     normalized_width,
@@ -169,6 +175,27 @@ class TestModelFile:
         assert str(path) in err and f"{key} must be finite" in err
 
 
+    # (theta_hat, difference, var_primary, var_proxy, correlation) per domain
+    DOMAIN = st.tuples(st.floats(0.0, 1.0), st.floats(-0.5, 0.5), st.floats(0.0, 0.05),
+                       st.floats(0.0, 0.05), st.floats(-1.0, 1.0))
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(rows=st.lists(DOMAIN, min_size=1, max_size=40))
+    @example(rows=[(0.5, 0.1, 0.01, 0.01, 0.0)])  # single domain
+    @example(rows=[(0.5, 0.1, 0.05, 0.05, 0.0), (0.5, 0.11, 0.05, 0.05, 0.0)])  # truncated
+    def test_written_model_reloads_as_its_fit(self, tmp_path_factory, rows):
+        history = [DomainRecord(f"d{i}", theta, theta + d, vp, vx, c * math.sqrt(vp * vx))
+                   for i, (theta, d, vp, vx, c) in enumerate(rows)]
+        model = fit_mom(history)
+        path = tmp_path_factory.getbasetemp() / "roundtrip-model.txt"
+        write_model(path, model)
+        loaded = load_model(path)
+        assert loaded == model
+        target = TargetRecord("t", 0.5, 0.001)
+        assert (bootstrap_interval(target, loaded, 0.1, draws=50, seed=3)
+                == bootstrap_interval(target, model, 0.1, draws=50, seed=3))
+
+
 class TestSimConfigFile:
     def test_grid_expansion_deterministic_order(self, tmp_path):
         path = write(tmp_path / "cfg.txt", "\n".join([
@@ -325,10 +352,11 @@ def parse_kv(path):
 
 class TestCliAdjust:
     def test_plugin_from_model_file(self, tmp_path):
-        from proxycal import BiasModel
-
+        # diffs -0.01, 0.02, 0.05 with variance 1e-4 each fit rho = 0.02, gamma2 = 0.0005
+        records = [DomainRecord(f"d{i}", 0.0, d, 1e-4, 0.0, 0.0)
+                   for i, d in enumerate((-0.01, 0.02, 0.05))]
         model_path = tmp_path / "model.txt"
-        write_model(model_path, BiasModel(0.02, 0.0005, 3, (0.02,) * 3, (0.0,) * 3))
+        write_model(model_path, fit_mom(records))
         out = tmp_path / "interval.txt"
         code = main([
             "adjust", "--model", str(model_path), "--target", str(target_csv(tmp_path)),
@@ -354,15 +382,36 @@ class TestCliAdjust:
         assert float(vals["lower"]) == ref.lower
         assert float(vals["upper"]) == ref.upper
 
-    def test_bootstrap_requires_history(self, tmp_path, capsys):
-        from proxycal import BiasModel
+    @pytest.mark.parametrize("k", [25, 800])
+    def test_bootstrap_from_model_file_equals_history(self, tmp_path, k):
+        hist = history_csv(tmp_path, random_rows(k, seed=k))
+        model = tmp_path / "model.txt"
+        assert main(["fit", str(hist), "--out", str(model)]) == 0
+        outs = []
+        for flag, source in (("--history", hist), ("--model", model)):
+            out = tmp_path / f"interval{flag}.txt"
+            code = main(["adjust", flag, str(source), "--target", str(target_csv(tmp_path)),
+                         "--method", "bootstrap", "--draws", "2000", "--seed", "7",
+                         "--out", str(out)])
+            assert code == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1]
 
-        model_path = tmp_path / "model.txt"
-        write_model(model_path, BiasModel(0.0, 0.0, 2, (0.0, 0.0), (0.0, 0.0)))
-        code = main(["adjust", "--model", str(model_path), "--target", str(target_csv(tmp_path)),
-                     "--method", "bootstrap", "--out", str(tmp_path / "i.txt")])
+    @pytest.mark.parametrize("line", ["rho = 0.25", "gamma2 = 0.0", "n_domains = 4",
+                                      "warnings = gamma2_truncated"])
+    def test_model_file_disagreeing_with_its_diffs_exit_2(self, tmp_path, capsys, line):
+        model = tmp_path / "model.txt"
+        assert main(["fit", str(history_csv(tmp_path, THREE_ROWS)), "--out", str(model)]) == 0
+        key = line.split(" = ")[0]
+        model.write_text("\n".join(line if ln.startswith(key + " = ") else ln
+                                   for ln in model.read_text().splitlines()) + "\n")
+        out = tmp_path / "interval.txt"
+        code = main(["adjust", "--model", str(model), "--target", str(target_csv(tmp_path)),
+                     "--out", str(out)])
         assert code == 2
-        assert "--history" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert str(model) in err and f"stored {key} = " in err
+        assert not out.exists() and not manifest_path(out).exists()
 
     def test_bootstrap_seeded_byte_identical(self, tmp_path):
         hist = history_csv(tmp_path, THREE_ROWS)
@@ -539,6 +588,18 @@ class TestCliTuneContext:
         assert "context" in capsys.readouterr().err
 
 
+def random_rows(k, seed):
+    """``k`` valid history rows drawn from a seeded stream."""
+    rng = random.Random(seed)
+    rows = []
+    for i in range(k):
+        theta = rng.uniform(0.2, 0.8)
+        var_p, var_x = rng.uniform(1e-5, 1e-3), rng.uniform(1e-5, 1e-3)
+        values = (theta, theta + rng.gauss(0.03, 0.05), var_p, var_x, 0.3 * min(var_p, var_x))
+        rows.append(",".join([f"d{i}", *(repr(v) for v in values)]))
+    return rows
+
+
 def context_history(tmp_path):
     rows = [f"{row},{i},{-i}" for i, row in enumerate(THREE_ROWS)]
     return history_csv(tmp_path, rows, header=HISTORY_HEADER + ",context_a,context_b")
@@ -577,6 +638,19 @@ class TestFlagValues:
         assert main(argv.format(**paths).split() + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"{flag} " in err and f"got {shown}" in err
+        assert not out.exists() and not manifest_path(out).exists()
+
+    @pytest.mark.parametrize("argv, flag", [
+        ("loo {history} --alpha=", "--alpha"),
+        ("loo {history} --method=", "--method"),
+        ("tune-context {history} --target-context 0,0 --beta-grid=", "--beta-grid"),
+        ("tune-context {history} --target-context=", "--target-context"),
+    ])
+    def test_empty_flag_list_exit_2(self, tmp_path, capsys, argv, flag):
+        out = tmp_path / "out.txt"
+        argv = argv.format(history=context_history(tmp_path)).split()
+        assert main(argv + ["--out", str(out)]) == 2
+        assert f"{flag} needs at least one value" in capsys.readouterr().err
         assert not out.exists() and not manifest_path(out).exists()
 
     def test_draws_unchecked_without_bootstrap(self, tmp_path):

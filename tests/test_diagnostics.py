@@ -7,7 +7,7 @@ from proxycal import (
     ConfidenceInterval,
     DomainRecord,
     TargetRecord,
-    domain_bootstrap_interval,
+    bootstrap_interval,
     fit_mom,
     intervals_overlap,
     loo_overlap_rate,
@@ -243,8 +243,8 @@ def per_alpha_refit(history, alpha, method, draws, seed):
         elif method == "plugin":
             proxy = plugin_interval(held_out, fit_mom(rest), alpha)
         else:
-            proxy = domain_bootstrap_interval(
-                rest, held_out, alpha, draws=draws, seed=derive_seed(seed, k)
+            proxy = bootstrap_interval(
+                held_out, fit_mom(rest), alpha, draws=draws, seed=derive_seed(seed, k)
             )
         pairs.append((proxy, wald_interval(rec.theta_hat, rec.var_primary, alpha)))
     rate = sum(intervals_overlap(p, q) for p, q in pairs) / len(pairs)

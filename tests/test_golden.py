@@ -118,6 +118,17 @@ def test_output_digest_pinned(files, name, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINS[name]
 
 
+def test_bootstrap_from_model_file_pinned(files, capsys):
+    model = files["dir"] / "model.txt"
+    out = files["dir"] / "adjust-bootstrap-model.out"
+    assert main(["fit", files["history"], "--out", str(model)]) == 0
+    argv = [a.format(**files) for a in COMMANDS["adjust-bootstrap"]]
+    i = argv.index("--history")
+    argv[i : i + 2] = ["--model", str(model)]
+    assert main(argv + ["--out", str(out)]) == 0, capsys.readouterr().err
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINS["adjust-bootstrap"]
+
+
 def run_python(code: str, *args: str) -> str:
     """Stdout of ``python -c code args`` with this proxycal importable."""
     src = str(Path(proxycal.__file__).resolve().parents[1])

@@ -8,7 +8,8 @@ from proxycal import (
     ConfidenceInterval,
     DomainRecord,
     TargetRecord,
-    domain_bootstrap_interval,
+    bootstrap_interval,
+    fit_mom,
     normal_quantile,
     intervals,
     loo_table,
@@ -182,14 +183,14 @@ class TestDomainBootstrap:
     def test_single_domain_matches_plugin(self):
         history = history_of([(0.1, 0.0)])
         target = TargetRecord("t", 0.5, 0.0004)
-        iv = domain_bootstrap_interval(history, target, 0.05, draws=100_000, seed=2)
+        iv = bootstrap_interval(target, fit_mom(history), 0.05, draws=100_000, seed=2)
         assert iv.lower == pytest.approx(0.4 - Z975 * 0.02, abs=0.003)
         assert iv.upper == pytest.approx(0.4 + Z975 * 0.02, abs=0.003)
 
     def test_identical_domains_match_plugin(self):
         history = history_of([(0.2, 0.01)] * 4)
         target = TargetRecord("t", 0.5, 0.0004)
-        iv = domain_bootstrap_interval(history, target, 0.05, draws=100_000, seed=5)
+        iv = bootstrap_interval(target, fit_mom(history), 0.05, draws=100_000, seed=5)
         # every resample refits to rho=0.2, gamma2=max(0, 0 - 0.01)=0
         half = Z975 * math.sqrt(0.0004)
         assert iv.lower == pytest.approx(0.3 - half, abs=0.003)
@@ -199,7 +200,7 @@ class TestDomainBootstrap:
         ds = [0.0, 0.2, 0.4]
         history = history_of([(d, 0.0) for d in ds])
         target = TargetRecord("t", 1.0, 0.0)
-        iv = domain_bootstrap_interval(history, target, 0.10, draws=200_000, seed=11)
+        iv = bootstrap_interval(target, fit_mom(history), 0.10, draws=200_000, seed=11)
         qlo = bootstrap_mixture_quantile(ds, [0.0] * 3, 1.0, 0.0, 0.05)
         qhi = bootstrap_mixture_quantile(ds, [0.0] * 3, 1.0, 0.0, 0.95)
         assert qlo == pytest.approx(0.5462261276233591, abs=1e-9)
@@ -210,10 +211,10 @@ class TestDomainBootstrap:
     def test_reproducible_bit_identical(self):
         history = history_of([(0.05, 0.001), (0.2, 0.002), (-0.1, 0.004)])
         target = TargetRecord("t", 0.7, 0.003)
-        a = domain_bootstrap_interval(history, target, 0.05, draws=9999, seed=42)
-        b = domain_bootstrap_interval(history, target, 0.05, draws=9999, seed=42)
+        a = bootstrap_interval(target, fit_mom(history), 0.05, draws=9999, seed=42)
+        b = bootstrap_interval(target, fit_mom(history), 0.05, draws=9999, seed=42)
         assert (a.lower, a.upper) == (b.lower, b.upper)
-        c = domain_bootstrap_interval(history, target, 0.05, draws=9999, seed=43)
+        c = bootstrap_interval(target, fit_mom(history), 0.05, draws=9999, seed=43)
         assert (a.lower, a.upper) != (c.lower, c.upper)
 
     def test_draw_blocks_are_order_independent(self):
@@ -244,7 +245,7 @@ class TestDomainBootstrap:
             return _bootstrap_samples(d, dv, target, seed, start, stop)
 
         monkeypatch.setattr(intervals, "_bootstrap_samples", recorded)
-        got = domain_bootstrap_interval(history, target, 0.1, draws=draws, seed=4)
+        got = bootstrap_interval(target, fit_mom(history), 0.1, draws=draws, seed=4)
         uniforms_per_draw = 4 * -(-(k + 1) // 4)
         assert len(chunks) > 1
         assert [a for a, _ in chunks[1:]] == [b for _, b in chunks[:-1]]
@@ -257,22 +258,20 @@ class TestDomainBootstrap:
 
     def test_translation_equivariance(self):
         history = history_of([(0.05, 0.001), (0.2, 0.002), (-0.1, 0.004)])
-        a = domain_bootstrap_interval(history, TargetRecord("t", 0.7, 0.003), 0.05,
-                                      draws=20000, seed=3)
+        a = bootstrap_interval(TargetRecord("t", 0.7, 0.003), fit_mom(history), 0.05,
+                               draws=20000, seed=3)
         c = 0.5
-        b = domain_bootstrap_interval(history, TargetRecord("t", 0.7 + c, 0.003), 0.05,
-                                      draws=20000, seed=3)
+        b = bootstrap_interval(TargetRecord("t", 0.7 + c, 0.003), fit_mom(history), 0.05,
+                               draws=20000, seed=3)
         assert b.lower == pytest.approx(a.lower + c, rel=1e-12)
         assert b.upper == pytest.approx(a.upper + c, rel=1e-12)
 
     def test_input_validation(self):
         target = TargetRecord("t", 0.5, 0.01)
         with pytest.raises(ValueError):
-            domain_bootstrap_interval([], target, 0.05, draws=100, seed=0)
+            bootstrap_interval(target, fit_mom(history_of([(0.1, 0.0)])), 0.05, draws=1, seed=0)
         with pytest.raises(ValueError):
-            domain_bootstrap_interval(history_of([(0.1, 0.0)]), target, 0.05, draws=1, seed=0)
-        with pytest.raises(ValueError):
-            domain_bootstrap_interval(history_of([(0.1, 0.0)]), target, 1.5, draws=100, seed=0)
+            bootstrap_interval(target, fit_mom(history_of([(0.1, 0.0)])), 1.5, draws=100, seed=0)
 
 
 class TestConfidenceInterval:

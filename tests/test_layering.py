@@ -2,13 +2,16 @@
 
 Layers, lowest first: ``core`` and ``_rng``; ``intervals``; ``diagnostics``,
 ``contextual`` and ``simulation``; ``dataio``; ``cli``. A module imports only
-from lower layers, and only ``cli`` imports ``simulation``.
+from lower layers, and only ``cli`` imports ``simulation``. The package's
+public names are pinned as well.
 """
 
 import ast
 from pathlib import Path
 
 import pytest
+
+import proxycal
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "proxycal"
 
@@ -75,3 +78,57 @@ def test_only_named_modules_import_simulation():
 def test_parser_sees_every_import_form():
     imports = package_imports("cli")
     assert {"dataio", "contextual", "core", "diagnostics", "intervals", "simulation"} <= imports
+
+
+# The public API. A change to it edits this list on purpose.
+PUBLIC_API = [
+    "ADJUSTMENTS",
+    "BiasModel",
+    "CellResult",
+    "ConfidenceInterval",
+    "ContextWeights",
+    "DEFAULT_BOOTSTRAP_DRAWS",
+    "DomainData",
+    "DomainRecord",
+    "ESTIMATORS",
+    "InvalidRecordError",
+    "SimConfig",
+    "TargetRecord",
+    "WARN_GAMMA2_TRUNCATED",
+    "WARN_INSUFFICIENT_DOMAINS",
+    "bootstrap_interval",
+    "build_history",
+    "contextual_interval",
+    "cov_components",
+    "debias",
+    "default_beta_grid",
+    "diff_stats",
+    "estimate_all",
+    "exact_prevalence",
+    "fit_mom",
+    "fit_weighted_mom",
+    "gen_domain",
+    "intervals_overlap",
+    "loo_overlap_rate",
+    "loo_table",
+    "mc_truth",
+    "normal_quantile",
+    "normalized_width",
+    "outcome_prob",
+    "overlap_curve",
+    "plugin_interval",
+    "proxy_score",
+    "run_experiment",
+    "sample_unit_ball",
+    "similarity_weights",
+    "threshold_count",
+    "time_decay_weights",
+    "tune_beta",
+    "wald_interval",
+]
+
+
+def test_public_api_pinned():
+    assert PUBLIC_API == sorted(PUBLIC_API)
+    assert proxycal.__all__ == PUBLIC_API
+    assert [name for name in PUBLIC_API if not hasattr(proxycal, name)] == []

@@ -8,7 +8,6 @@ from proxycal import (
     SimConfig,
     build_history,
     cov_components,
-    density_ratio,
     estimate_all,
     exact_prevalence,
     gen_domain,
@@ -29,7 +28,12 @@ from proxycal.simulation import (
 )
 from proxycal._rng import substream
 
-from reference import enumerated_prevalence, enumerated_prevalence_sd
+from reference import (
+    density_ratio,
+    enumerated_prevalence,
+    enumerated_prevalence_sd,
+    transport_reference,
+)
 
 CFG = SimConfig(n_domains=5, n_per_domain=100, seed=0)
 
@@ -165,7 +169,7 @@ class TestDensityRatio:
         rng = substream(6, 0)
         x = rng.standard_normal((50, 4))
         mu = np.array([0.3, -0.2, 0.1, 0.0])
-        assert np.allclose(density_ratio(x, mu, mu), 1.0)
+        assert np.allclose([density_ratio(row, mu, mu) for row in x], 1.0)
 
     def test_hand_value(self):
         x = np.zeros(4)
@@ -178,6 +182,22 @@ class TestDensityRatio:
         val = density_ratio(mu_t, mu_s, mu_t)
         assert val == pytest.approx(math.exp(0.5 * np.sum((mu_t - mu_s) ** 2)), rel=1e-12)
         assert val >= 1.0
+
+
+class TestWeightedTransport:
+    @pytest.mark.parametrize("n_domains, n_per_domain, kappa, seed", [
+        (2, 30, 0.0, 1), (4, 60, 1.0, 2), (5, 40, 10.0, 3), (7, 25, 0.5, 4),
+    ])
+    def test_every_pair_matches_brute_force(self, n_domains, n_per_domain, kappa, seed):
+        cfg = SimConfig(n_domains=n_domains, n_per_domain=n_per_domain, kappa=kappa, seed=seed)
+        domains = _replicate_domains(cfg, 0)
+        delta, var = _weighted_transport(domains)
+        assert delta.shape == var.shape == (n_domains - 1, n_domains)
+        for j, src in enumerate(domains[:-1]):
+            xs, resids = src.covariates.tolist(), (src.primary - src.proxy).tolist()
+            for t, dom in enumerate(domains):
+                ref = transport_reference(xs, resids, src.mean.tolist(), dom.mean.tolist())
+                assert (delta[j, t], var[j, t]) == pytest.approx(ref, rel=1e-10)
 
 
 class TestGenDomain:
