@@ -80,8 +80,8 @@ def _cmd_adjust(args: argparse.Namespace) -> tuple[dict, dict]:
     _check_alphas([args.alpha], args.alpha)
     if args.method == "bootstrap":
         _check_draws(args.draws)
-    if args.history is None and args.model is None:
-        raise dataio.SchemaError("one of --history or --model is required")
+    if (args.history is None) == (args.model is None):
+        raise dataio.SchemaError("give exactly one of --history or --model")
     target = dataio.load_target(args.target)
     if args.history is not None:
         model = fit_mom(dataio.load_history(args.history))

@@ -33,6 +33,11 @@ _PATH_BOOT = 1
 
 _MC_CHUNK = 1 << 18
 
+# Transport walks each source in row blocks of at most this many bytes of
+# n x K float64 (at least one row), so its memory is bounded whatever
+# ``n_per_domain`` is. The block is a fixed part of the algorithm, not a knob.
+_TRANSPORT_BLOCK_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -206,23 +211,27 @@ def cov_components(domain: DomainData) -> np.ndarray:
 def _transport_block(src: DomainData, mu_targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Weighted residual mean of ``src`` transported to each target mean.
 
-    The per-unit log density ratio toward target ``t`` is
-    ``x . (mu_t - mu_src)`` up to a constant in ``x``, which the per-target
-    normalization cancels, so one matrix product covers every target at once.
+    The per-unit log density ratio toward target ``t`` is ``x . (mu_t - mu_src)``
+    up to a constant in ``x``, which the per-target normalization cancels. Pass 1
+    finds each target's exact maximum log ratio ``m`` over row blocks; pass 2 sums
+    ``e = exp(log ratio - m)`` in (0, 1] and ``e^2``, each times ``[1, r, r^2]``.
     Returns the rectifier and its plug-in variance, one entry per target.
     """
-    logw = src.covariates @ (mu_targets - src.mean).T
-    logw -= logw.max(axis=0)
-    w = np.exp(logw, out=logw)
-    w /= w.sum(axis=0)
-    resid = src.primary - src.proxy
-    delta = resid @ w
-    # sum_i w_i^2 (r_i - delta)^2, expanded so each term is a single matvec
-    w2 = w * w
-    s0 = w2.sum(axis=0)
-    s1 = resid @ w2
-    s2 = (resid * resid) @ w2
-    var = s2 - 2.0 * delta * s1 + delta * delta * s0
+    a = (mu_targets - src.mean).T
+    rows = max(1, _TRANSPORT_BLOCK_BYTES // (8 * a.shape[1]))
+    blocks = [slice(i, i + rows) for i in range(0, len(src.primary), rows)]
+    m = np.max([(src.covariates[blk] @ a).max(axis=0) for blk in blocks], axis=0)
+    s, q = np.zeros((2, 3, a.shape[1]))
+    for blk in blocks:
+        e = src.covariates[blk] @ a
+        np.exp(np.subtract(e, m, out=e), out=e)
+        r = src.primary[blk] - src.proxy[blk]
+        powers = np.stack([np.ones_like(r), r, r * r])
+        s += powers @ e
+        q += powers @ np.multiply(e, e, out=e)
+    delta = s[1] / s[0]
+    # sum_i w_i^2 (r_i - delta)^2 with w = e / s[0], expanded into the sums above
+    var = (q[2] - 2.0 * delta * q[1] + delta * delta * q[0]) / (s[0] * s[0])
     return delta, var
 
 
@@ -232,13 +241,9 @@ def _weighted_transport(domains: list[DomainData]) -> tuple[np.ndarray, np.ndarr
     Entry ``[j, t]`` transports labeled source ``j`` to domain ``t``; the last
     column is the actual target domain.
     """
-    labeled = domains[:-1]
     mu_all = np.stack([dom.mean for dom in domains])
-    delta = np.empty((len(labeled), len(domains)))
-    var = np.empty((len(labeled), len(domains)))
-    for j, src in enumerate(labeled):
-        delta[j], var[j] = _transport_block(src, mu_all)
-    return delta, var
+    pairs = [_transport_block(src, mu_all) for src in domains[:-1]]
+    return np.array([d for d, _ in pairs]), np.array([v for _, v in pairs])
 
 
 def _domain_table(

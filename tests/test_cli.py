@@ -413,6 +413,19 @@ class TestCliAdjust:
         assert str(model) in err and f"stored {key} = " in err
         assert not out.exists() and not manifest_path(out).exists()
 
+    @pytest.mark.parametrize("sources", [["--history", "--model"], []])
+    def test_not_exactly_one_source_exit_2(self, tmp_path, capsys, sources):
+        hist = history_csv(tmp_path, THREE_ROWS)
+        model = tmp_path / "model.txt"
+        assert main(["fit", str(hist), "--out", str(model)]) == 0
+        paths = {"--history": hist, "--model": model}
+        out = tmp_path / "interval.txt"
+        argv = ["adjust", "--target", str(target_csv(tmp_path)), "--out", str(out)]
+        assert main(argv + [a for f in sources for a in (f, str(paths[f]))]) == 2
+        err = capsys.readouterr().err
+        assert "--history" in err and "--model" in err
+        assert not out.exists() and not manifest_path(out).exists()
+
     def test_bootstrap_seeded_byte_identical(self, tmp_path):
         hist = history_csv(tmp_path, THREE_ROWS)
         target = target_csv(tmp_path)
@@ -506,6 +519,22 @@ class TestCliSimulate:
     def test_byte_identical_reruns_and_workers(self, tmp_path):
         cfg1 = write(tmp_path / "c1.txt", SMOKE_CONFIG)
         cfg2 = write(tmp_path / "c2.txt", SMOKE_CONFIG + "workers = 3\n")
+        blobs = []
+        for name, cfg in (("r1.csv", cfg1), ("r2.csv", cfg1), ("r3.csv", cfg2)):
+            out = tmp_path / name
+            assert main(["simulate", str(cfg), "--out", str(out)]) == 0
+            blobs.append(out.read_bytes())
+        assert blobs[0] == blobs[1] == blobs[2]
+
+    def test_weighted_byte_identical_across_transport_blocks(self, tmp_path):
+        from proxycal import simulation
+
+        k, n = 25, 12_000
+        assert n > 2 * (simulation._TRANSPORT_BLOCK_BYTES // (8 * k))
+        text = (f"n_domains = {k}\nn_per_domain = {n}\nreplicates = 2\nseed = 4\n"
+                "estimators = ppi_weighted\nadjustments = none,plugin\n")
+        cfg1 = write(tmp_path / "c1.txt", text)
+        cfg2 = write(tmp_path / "c2.txt", text + "workers = 2\n")
         blobs = []
         for name, cfg in (("r1.csv", cfg1), ("r2.csv", cfg1), ("r3.csv", cfg2)):
             out = tmp_path / name

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -184,10 +185,11 @@ class TestDensityRatio:
         assert val >= 1.0
 
 
+TRANSPORT_CASES = [(2, 30, 0.0, 1), (4, 60, 1.0, 2), (5, 40, 10.0, 3), (7, 25, 0.5, 4)]
+
+
 class TestWeightedTransport:
-    @pytest.mark.parametrize("n_domains, n_per_domain, kappa, seed", [
-        (2, 30, 0.0, 1), (4, 60, 1.0, 2), (5, 40, 10.0, 3), (7, 25, 0.5, 4),
-    ])
+    @pytest.mark.parametrize("n_domains, n_per_domain, kappa, seed", TRANSPORT_CASES)
     def test_every_pair_matches_brute_force(self, n_domains, n_per_domain, kappa, seed):
         cfg = SimConfig(n_domains=n_domains, n_per_domain=n_per_domain, kappa=kappa, seed=seed)
         domains = _replicate_domains(cfg, 0)
@@ -198,6 +200,33 @@ class TestWeightedTransport:
             for t, dom in enumerate(domains):
                 ref = transport_reference(xs, resids, src.mean.tolist(), dom.mean.tolist())
                 assert (delta[j, t], var[j, t]) == pytest.approx(ref, rel=1e-10)
+
+    # one row per block, 7 rows (no n here is a multiple of 7), and more rows than n
+    @pytest.mark.parametrize("rows", [1, 7, None])
+    @pytest.mark.parametrize("n_domains, n_per_domain, kappa, seed",
+                             TRANSPORT_CASES + [(3, 50, 2.0, 5)])
+    def test_every_block_size_matches_brute_force(
+        self, monkeypatch, rows, n_domains, n_per_domain, kappa, seed
+    ):
+        rows = rows or n_per_domain + 1
+        monkeypatch.setattr(simulation, "_TRANSPORT_BLOCK_BYTES", 8 * n_domains * rows)
+        self.test_every_pair_matches_brute_force(n_domains, n_per_domain, kappa, seed)
+
+    def test_memory_bounded_at_large_n(self):
+        rng = np.random.default_rng(6)
+        n, k = 100_000, 25
+        src = DomainData(covariates=rng.standard_normal((n, 4)),
+                         primary=(rng.random(n) < 0.3).astype(np.int8),
+                         proxy=rng.random(n), mean=np.zeros(4), threshold=0.0)
+        mu_targets = 0.5 * rng.standard_normal((k, 4))
+        tracemalloc.start()
+        try:
+            simulation._transport_block(src, mu_targets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one n x K float64 array alone would take 19 MiB
+        assert peak < 8 * 2**20
 
 
 class TestGenDomain:
