@@ -62,8 +62,8 @@ PINS = {
     "adjust-bootstrap": "1af7b02993d28c9db483dbf251e15238581c52c352edc0c238aa4a189414ea50",
     "loo": "7833335caa206a520298bcc6bc309e30faeb137d9c3d0f765720419a60a8b51e",
     "tune-context": "1213154a309939bb4568cfcfc01a942ebde26e42717b4fc8995de4db9bc09b17",
-    "simulate": "c2f9da07117d366e02ee10792e2e00c8e355fe4af1ed308bce7a0fa0c4e51e16",
-    "simulate-weighted": "310a77073d948caeac02e235c19b8ea1e454327cc4c29f5105d4133e04e7fe17",
+    "simulate": "28502ecde25b451b50fdc7c6250bdc1cb6744d7275754dae3edc5dd9a0df21e7",
+    "simulate-weighted": "81ec2fbec1c0c004e822ad4004b324511c231f5fca6c33d943284d5496a280d3",
 }
 
 
