@@ -22,9 +22,9 @@ DEFAULT_BOOTSTRAP_DRAWS = 4000
 # Draws are materialized in chunks whose uniform block takes at most this many
 # bytes (at least one draw); the per-draw stream addressing makes the result
 # independent of the chunking. Whether the allocator reuses a freed chunk
-# depends on the heap's layout and moves peak RSS by up to about one chunk
-# (16 MB at 16 MiB). At 1 MiB freed chunks went back to the system and were
-# faulted in again, which slowed bootstrap LOO by half.
+# depends on the heap's layout and moves peak RSS by up to about one chunk, so
+# chunks stay small, but not so small that the allocator returns each freed
+# chunk to the system and faults it in again (it did at 1 MiB).
 _BOOT_CHUNK_BYTES = 1 << 21
 
 # Sub-path tag for the bootstrap uniform stream.
