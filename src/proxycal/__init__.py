@@ -55,7 +55,6 @@ from .simulation import (
     estimate_all,
     exact_prevalence,
     gen_domain,
-    mc_truth,
     outcome_prob,
     proxy_score,
     run_experiment,
@@ -95,7 +94,6 @@ __all__ = [
     "intervals_overlap",
     "loo_overlap_rate",
     "loo_table",
-    "mc_truth",
     "normal_quantile",
     "normalized_width",
     "outcome_prob",

@@ -66,6 +66,16 @@ def _check_draws(draws: int) -> None:
         raise dataio.SchemaError(f"--draws must be >= 2 for the bootstrap, got {draws}")
 
 
+def _load_history_of_two(args: argparse.Namespace) -> list:
+    """History for a command that compares rows with each other: at least 2 rows."""
+    history = dataio.load_history(args.history)
+    if len(history) < 2:
+        raise dataio.SchemaError(
+            f"{args.history}: {args.command} needs at least 2 history rows, found {len(history)}"
+        )
+    return history
+
+
 def _cmd_fit(args: argparse.Namespace) -> tuple[dict, dict]:
     history = dataio.load_history(args.history)
     model = fit_mom(history)
@@ -107,7 +117,7 @@ def _cmd_adjust(args: argparse.Namespace) -> tuple[dict, dict]:
 
 
 def _cmd_loo(args: argparse.Namespace) -> tuple[dict, dict]:
-    history = dataio.load_history(args.history)
+    history = _load_history_of_two(args)
     alphas = _parse_float_list(args.alpha, "--alpha")
     _check_alphas(alphas, args.alpha)
     methods = [m.strip() for m in args.method.split(",") if m.strip()]
@@ -143,7 +153,7 @@ def _cmd_simulate(args: argparse.Namespace) -> tuple[dict, dict]:
 
 
 def _cmd_tune_context(args: argparse.Namespace) -> tuple[dict, dict]:
-    history = dataio.load_history(args.history)
+    history = _load_history_of_two(args)
     target_context = tuple(_parse_float_list(args.target_context, "--target-context"))
     if args.beta_grid is not None:
         grid = _parse_float_list(args.beta_grid, "--beta-grid")
@@ -153,6 +163,12 @@ def _cmd_tune_context(args: argparse.Namespace) -> tuple[dict, dict]:
         grid = default_beta_grid()
     if any(rec.context is None for rec in history):
         raise dataio.SchemaError(f"{args.history}: context_* columns required for tuning")
+    n_context = len(history[0].context)
+    if len(target_context) != n_context:
+        raise dataio.SchemaError(
+            f"--target-context {args.target_context!r} has {len(target_context)} value(s), "
+            f"but {args.history} has {n_context} context_* column(s)"
+        )
 
     profile = beta_profile(history, target_context, grid)
     beta_star, ll_star = best_beta(profile)

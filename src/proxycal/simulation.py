@@ -13,7 +13,6 @@ the results table is bit-identical for any worker count or schedule.
 
 from __future__ import annotations
 
-import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -30,8 +29,6 @@ ADJUSTMENTS = ("none", "plugin", "bootstrap")
 # Stream sub-path tags within a replicate.
 _PATH_GEN = 0
 _PATH_BOOT = 1
-
-_MC_CHUNK = 1 << 18
 
 # Transport walks each source in row blocks of at most this many bytes of
 # n x K float64 (at least one row), so its memory is bounded whatever
@@ -53,7 +50,6 @@ class SimConfig:
     phi2: float = 2.0
     mu_target: tuple[float, ...] = (0.5, -0.5, 0.5, -0.5)
     replicates: int = 1000
-    mc_truth_samples: int = 1_000_000
     alpha: float = 0.05
     seed: int = 0
     bootstrap_draws: int = 4000
@@ -82,8 +78,8 @@ class SimConfig:
             )
         if not all(math.isfinite(m) for m in self.mu_target):
             raise ValueError("mu_target must be finite")
-        if self.replicates < 1 or self.mc_truth_samples < 1:
-            raise ValueError("replicates and mc_truth_samples must be >= 1")
+        if self.replicates < 1:
+            raise ValueError(f"replicates must be >= 1, got {self.replicates}")
         if not 0.0 < self.alpha < 1.0:
             raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
         if self.bootstrap_draws < 2:
@@ -162,12 +158,16 @@ def _ndtr(a: float) -> float:
     return 1.0 - y if x > 0 else y
 
 
+def _outcome_table(cfg: SimConfig) -> np.ndarray:
+    """Outcome probability at each count 0..p, logistic in the centered count."""
+    p = cfg.dim_p
+    return np.array([_expit(cfg.lambda1 * (c - p / 2.0) - cfg.phi1) for c in range(p + 1)])
+
+
 def outcome_prob(x, delta: float, cfg: SimConfig):
     """Probability the binary primary outcome fires, logistic in the count."""
     # the count takes p + 1 values, so the probability is a lookup
-    p = cfg.dim_p
-    table = np.array([_expit(cfg.lambda1 * (c - p / 2.0) - cfg.phi1) for c in range(p + 1)])
-    return table[_count(x, delta, p)]
+    return _outcome_table(cfg)[_count(x, delta, cfg.dim_p)]
 
 
 def proxy_score(x, cfg: SimConfig):
@@ -321,38 +321,21 @@ def build_history(domains: list[DomainData], cfg: SimConfig, estimator: str) -> 
     return _history_records(theta_hat, var_primary, table[estimator])
 
 
-def mc_truth(cfg: SimConfig, rng: np.random.Generator) -> float:
-    """Monte Carlo estimate of the target-domain prevalence.
-
-    Averages the exact outcome probability over fresh target-domain covariate
-    draws; the target threshold is fixed at zero.
-    """
-    total = 0.0
-    done = 0
-    while done < cfg.mc_truth_samples:
-        chunk = min(_MC_CHUNK, cfg.mc_truth_samples - done)
-        x = rng.standard_normal((chunk, cfg.dim_p)) + np.asarray(cfg.mu_target)
-        total += float(outcome_prob(x, 0.0, cfg).sum())
-        done += chunk
-    return total / cfg.mc_truth_samples
-
-
 def exact_prevalence(cfg: SimConfig) -> float:
-    """Exact target-domain prevalence by enumerating threshold patterns.
+    """Exact target-domain prevalence from the law of the threshold count.
 
     Coordinates clear the zero threshold independently with probabilities
-    ``Phi(mu_j)``; summing the outcome probability over all 2^p indicator
-    patterns gives the prevalence in closed form.
+    ``Phi(mu_j)``. Folding them in one at a time gives the p + 1 probabilities
+    of the count in O(p^2); the prevalence is their dot product with the
+    outcome table.
     """
-    pj = [_ndtr(m) for m in cfg.mu_target]
-    total = 0.0
-    for pattern in itertools.product((0, 1), repeat=cfg.dim_p):
-        weight = 1.0
-        for b, p in zip(pattern, pj):
-            weight *= p if b else 1.0 - p
-        t = sum(pattern) - cfg.dim_p / 2.0
-        total += weight * _expit(cfg.lambda1 * t - cfg.phi1)
-    return total
+    law = np.zeros(cfg.dim_p + 1)
+    law[0] = 1.0
+    for m in cfg.mu_target:
+        q = _ndtr(m)
+        law[1:] = law[1:] * (1.0 - q) + law[:-1] * q
+        law[0] *= 1.0 - q
+    return float(law @ _outcome_table(cfg))
 
 
 @dataclass(frozen=True)

@@ -3,13 +3,17 @@
 Everything here is deliberately written with plain Python loops and stdlib
 math so it shares no code path with the package: sequential sums instead of
 numpy reductions, erfc-based normal CDF with bisection quantiles instead of
-scipy, exhaustive enumeration instead of vectorized formulas.
+scipy, exhaustive enumeration instead of vectorized formulas. The one
+exception is ``mc_prevalence``, which draws from a numpy generator so that a
+seeded stream replays exactly.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+
+import numpy as np
 
 
 def mom_reference(ds, dvs):
@@ -133,6 +137,27 @@ def enumerated_prevalence_sd(mu, lambda1=0.5, phi1=2.0):
         first += weight * val
         second += weight * val * val
     return math.sqrt(second - first * first)
+
+
+def mc_prevalence(mu, samples, rng, lambda1=0.5, phi1=2.0):
+    """Monte Carlo prevalence: the outcome probability averaged over ``samples``
+    draws of ``x ~ N(mu, I)`` from ``rng``.
+
+    Draws come in blocks of 2^18 rows, each summed on its own, so a seeded
+    stream gives the same value to the last bit on every run.
+    """
+    chunk = 1 << 18
+    p = len(mu)
+    table = np.array([1.0 / (1.0 + math.exp(-lambda1 * (c - p / 2.0) + phi1))
+                      for c in range(p + 1)])
+    total = 0.0
+    done = 0
+    while done < samples:
+        n = min(chunk, samples - done)
+        x = rng.standard_normal((n, p)) + np.asarray(mu, dtype=float)
+        total += float(table[(x >= 0.0).sum(axis=1)].sum())
+        done += n
+    return total / samples
 
 
 def weighted_loglik_reference(ds, dvs, ws, floor=1e-12):

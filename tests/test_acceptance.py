@@ -20,7 +20,6 @@ from proxycal import (
     fit_mom,
     fit_weighted_mom,
     loo_overlap_rate,
-    mc_truth,
     plugin_interval,
     run_experiment,
 )
@@ -32,6 +31,7 @@ from reference import (
     bootstrap_mixture_quantile,
     enumerated_prevalence,
     enumerated_prevalence_sd,
+    mc_prevalence,
     mom_reference,
     weighted_mom_reference,
 )
@@ -167,14 +167,11 @@ def test_criterion_4_parametric_shrink_then_plateau(
 
 
 def test_criterion_5_ground_truth_check():
-    cfg0 = SimConfig(n_domains=2, n_per_domain=10, mu_target=(0.0,) * 4,
-                     mc_truth_samples=10 ** 6, seed=SEED)
-    mc0 = mc_truth(cfg0, substream(SEED, 1001))
+    mc0 = mc_prevalence((0.0,) * 4, 10 ** 6, substream(SEED, 1001))
     exact0 = enumerated_prevalence((0.0,) * 4)
     assert exact0 == pytest.approx(0.129045, abs=5e-7)
 
-    cfg_a = SimConfig(n_domains=2, n_per_domain=10, mc_truth_samples=10 ** 6, seed=SEED)
-    mc_a = mc_truth(cfg_a, substream(SEED, 1002))
+    mc_a = mc_prevalence((0.5, -0.5, 0.5, -0.5), 10 ** 6, substream(SEED, 1002))
     exact_a = enumerated_prevalence((0.5, -0.5, 0.5, -0.5))
     se_a = enumerated_prevalence_sd((0.5, -0.5, 0.5, -0.5)) / 1000.0
 
@@ -294,6 +291,6 @@ def test_criterion_9_simulate_determinism(tmp_path):
 
     ok = blobs[0] == blobs[1] == blobs[2]
     report(9, "simulate determinism", ok,
-           f"{len(blobs[0])} result bytes identical across reruns and 1 vs 4 workers")
+           "result bytes identical across reruns and 1 vs 4 workers")
     assert ok
     assert manifest_path(tmp_path / "r1.csv").read_bytes() is not None

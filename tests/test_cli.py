@@ -273,7 +273,6 @@ class TestSimConfigFile:
         "phi2": ("1.5", 1.5),
         "mu_target": ("0.25,-0.25", (0.25, -0.25)),
         "replicates": ("4", 4),
-        "mc_truth_samples": ("1000", 1000),
         "alpha": ("0.1", 0.1),
         "seed": ("11", 11),
         "bootstrap_draws": ("50", 50),
@@ -471,9 +470,10 @@ class TestCliLoo:
         assert by_method["plugin"][0] == loo_overlap_rate(records, 0.05, "plugin")
         assert by_method["plugin"][1] == normalized_width(records, 0.05, "plugin")
 
-    def test_too_few_rows_exit_2(self, tmp_path):
+    def test_too_few_rows_exit_2(self, tmp_path, capsys):
         hist = history_csv(tmp_path, [THREE_ROWS[0]])
         assert main(["loo", str(hist), "--out", str(tmp_path / "loo.csv")]) == 2
+        assert f"{hist}: loo needs at least 2 history rows, found 1" in capsys.readouterr().err
 
     def test_one_held_out_pass_per_method(self, tmp_path, monkeypatch):
         import proxycal.diagnostics as diagnostics
@@ -547,6 +547,14 @@ class TestCliSimulate:
         assert main(["simulate", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
         assert "volume" in capsys.readouterr().err
 
+    def test_mc_truth_samples_is_unknown_key(self, tmp_path, capsys):
+        # the truth is exact, so no Monte Carlo sample count is configurable
+        cfg = write(tmp_path / "cfg.txt", SMOKE_CONFIG + "mc_truth_samples = 1000\n")
+        assert main(["simulate", str(cfg), "--out", str(tmp_path / "r.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"{cfg}: unknown config key(s): mc_truth_samples" in err
+        assert not (tmp_path / "r.csv").exists()
+
 
 class TestCliTuneContext:
     def make_history(self, tmp_path):
@@ -615,6 +623,23 @@ class TestCliTuneContext:
         assert main(["tune-context", str(hist), "--target-context", "0.0",
                      "--out", str(tmp_path / "t.txt")]) == 2
         assert "context" in capsys.readouterr().err
+
+    def test_single_row_names_file(self, tmp_path, capsys):
+        hist = history_csv(tmp_path, ["a,0.5,0.6,0.005,0.005,0.0025,0.0"],
+                           header=HISTORY_HEADER + ",context_c")
+        assert main(["tune-context", str(hist), "--target-context", "0.0",
+                     "--out", str(tmp_path / "t.txt")]) == 2
+        err = capsys.readouterr().err
+        assert f"{hist}: tune-context needs at least 2 history rows, found 1" in err
+
+    def test_target_context_length_names_flag_and_file(self, tmp_path, capsys):
+        rows = [row + ",0.0,1.0" for row in THREE_ROWS]
+        hist = history_csv(tmp_path, rows, header=HISTORY_HEADER + ",context_x,context_y")
+        assert main(["tune-context", str(hist), "--target-context", "0.1,0.2,0.3",
+                     "--out", str(tmp_path / "t.txt")]) == 2
+        err = capsys.readouterr().err
+        assert (f"--target-context '0.1,0.2,0.3' has 3 value(s), "
+                f"but {hist} has 2 context_* column(s)") in err
 
 
 def random_rows(k, seed):

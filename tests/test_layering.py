@@ -111,7 +111,6 @@ PUBLIC_API = [
     "intervals_overlap",
     "loo_overlap_rate",
     "loo_table",
-    "mc_truth",
     "normal_quantile",
     "normalized_width",
     "outcome_prob",

@@ -3,6 +3,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from proxycal import (
     DomainRecord,
@@ -12,7 +14,6 @@ from proxycal import (
     estimate_all,
     exact_prevalence,
     gen_domain,
-    mc_truth,
     outcome_prob,
     proxy_score,
     run_experiment,
@@ -33,6 +34,7 @@ from reference import (
     density_ratio,
     enumerated_prevalence,
     enumerated_prevalence_sd,
+    mc_prevalence,
     transport_reference,
 )
 
@@ -458,29 +460,29 @@ class TestDomainTable:
 
 
 class TestTruth:
-    def test_exact_prevalence_matches_reference_enumeration(self):
-        for mu in ((0.0, 0.0, 0.0, 0.0), (0.5, -0.5, 0.5, -0.5), (0.2, 0.1, -0.3, 0.9)):
-            cfg = SimConfig(n_domains=2, n_per_domain=10, mu_target=mu, seed=0)
-            assert exact_prevalence(cfg) == pytest.approx(enumerated_prevalence(mu), rel=1e-12)
+    @settings(derandomize=True, deadline=None)
+    @given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=10))
+    @example([0.0, 0.0, 0.0, 0.0])
+    @example([0.5, -0.5, 0.5, -0.5])
+    @example([0.2, 0.1, -0.3, 0.9])
+    def test_exact_prevalence_matches_reference_enumeration(self, mu):
+        cfg = SimConfig(n_domains=2, n_per_domain=10, dim_p=len(mu), mu_target=mu, seed=0)
+        assert exact_prevalence(cfg) == pytest.approx(enumerated_prevalence(mu), rel=1e-12)
 
     def test_mc_truth_converges_to_enumeration(self):
-        cfg = SimConfig(n_domains=2, n_per_domain=10, mu_target=(0.0,) * 4,
-                        mc_truth_samples=200_000, seed=0)
-        approx = mc_truth(cfg, substream(13, 0))
+        samples = 200_000
+        approx = mc_prevalence((0.0,) * 4, samples, substream(13, 0))
         exact = enumerated_prevalence((0.0,) * 4)
-        se = enumerated_prevalence_sd((0.0,) * 4) / math.sqrt(cfg.mc_truth_samples)
+        se = enumerated_prevalence_sd((0.0,) * 4) / math.sqrt(samples)
         assert approx == pytest.approx(exact, abs=4 * se)
 
-    def test_mc_truth_bit_reproducible(self):
-        cfg = SimConfig(n_domains=2, n_per_domain=10, mc_truth_samples=50_000, seed=0)
-        assert mc_truth(cfg, substream(14, 0)) == mc_truth(cfg, substream(14, 0))
-
     def test_saturating_mean_limit(self):
-        # all coordinates far above threshold: count saturates at T = p/2
-        cfg = SimConfig(n_domains=2, n_per_domain=10, mu_target=(10.0,) * 4,
-                        mc_truth_samples=20_000, seed=0)
-        val = mc_truth(cfg, substream(15, 0))
-        assert val == pytest.approx(0.268941, abs=1e-4)
+        # all coordinates far above threshold: count saturates at T = p/2.
+        # Phi(10) rounds to 1, so the count law is a point mass at p; at
+        # p = 40 an enumeration would visit 2^40 patterns.
+        for p in (4, 40):
+            cfg = SimConfig(n_domains=2, n_per_domain=10, dim_p=p, mu_target=(10.0,) * p, seed=0)
+            assert exact_prevalence(cfg) == _expit(cfg.lambda1 * p / 2 - cfg.phi1)
 
 
 class TestRunExperiment:
@@ -529,6 +531,7 @@ class TestSimConfigValidation:
             dict(n_domains=5, n_per_domain=10, estimators=("nope",)),
             dict(n_domains=5, n_per_domain=10, adjustments=("nope",)),
             dict(n_domains=5, n_per_domain=10, workers=0),
+            dict(n_domains=5, n_per_domain=10, replicates=0),
             dict(n_domains=5, n_per_domain=1),
             dict(n_domains=5, n_per_domain=10, bootstrap_draws=1),
             dict(n_domains=5, n_per_domain=10, kappa=math.nan),
