@@ -29,13 +29,7 @@ from .core import (
     fit_mom,
 )
 from .dataio import TOOL_VERSION
-from .diagnostics import (
-    intervals_overlap,
-    loo_overlap_rate,
-    loo_table,
-    normalized_width,
-    overlap_curve,
-)
+from .diagnostics import loo_table
 from .intervals import (
     DEFAULT_BOOTSTRAP_DRAWS,
     ConfidenceInterval,
@@ -91,13 +85,9 @@ __all__ = [
     "fit_mom",
     "fit_weighted_mom",
     "gen_domain",
-    "intervals_overlap",
-    "loo_overlap_rate",
     "loo_table",
     "normal_quantile",
-    "normalized_width",
     "outcome_prob",
-    "overlap_curve",
     "plugin_interval",
     "proxy_score",
     "run_experiment",

@@ -129,13 +129,17 @@ def _cmd_loo(args: argparse.Namespace) -> tuple[dict, dict]:
     if "bootstrap" in methods:
         _check_draws(args.draws)
 
-    rows = [
-        (alpha, method, rate, width)
-        for method in methods
-        for alpha, rate, width in loo_table(
-            history, alphas, method, bootstrap_draws=args.draws, seed=args.seed
-        )
-    ]
+    try:
+        rows = [
+            (alpha, method, rate, width)
+            for method in methods
+            for alpha, rate, width in loo_table(
+                history, alphas, method, bootstrap_draws=args.draws, seed=args.seed
+            )
+        ]
+    except ValueError as exc:
+        # the flags are checked above, so what is left is the history's values
+        raise dataio.SchemaError(f"{args.history}: {exc}") from None
 
     dataio.write_loo_table(args.out, rows)
     for alpha, method, rate, width in rows:

@@ -13,113 +13,74 @@ from __future__ import annotations
 import numpy as np
 
 from ._rng import derive_seed
-from .core import DomainRecord, TargetRecord, _bias_model, diff_arrays
-from .intervals import (
-    DEFAULT_BOOTSTRAP_DRAWS,
-    ConfidenceInterval,
-    _bootstrap_draws,
-    _quantile_interval,
-    plugin_interval,
-    wald_interval,
-)
+from .core import DomainRecord, TargetRecord, _moments, _truncate, diff_arrays
+from .intervals import DEFAULT_BOOTSTRAP_DRAWS, _bootstrap_draws, _check_alpha, normal_quantile
 
 METHODS = ("unadjusted", "plugin", "bootstrap")
 
-_Pairs = list[tuple[ConfidenceInterval, ConfidenceInterval]]
+
+def _wald_endpoints(z: np.ndarray, center: np.ndarray, variance: np.ndarray):
+    """``center -+ z * sqrt(variance)`` with one row per quantile in ``z``."""
+    half = z[:, None] * np.sqrt(variance)
+    return center - half, center + half
 
 
-def intervals_overlap(a: ConfidenceInterval, b: ConfidenceInterval) -> bool:
-    """Whether two closed intervals intersect; a shared endpoint counts."""
-    return a.lower <= b.upper and b.lower <= a.upper
-
-
-def _check_method(method: str) -> None:
-    if method not in METHODS:
-        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
-
-
-def _loo_interval_pairs(
+def _loo_endpoints(
     history: list[DomainRecord],
     alphas: list[float],
     method: str,
     bootstrap_draws: int,
     seed: int,
-) -> list[_Pairs]:
-    """(proxy interval, primary interval) of each held-out domain, per alpha.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Proxy and primary interval endpoints of each held-out domain.
 
-    Each held-out domain's model is fit, or its bootstrap replicates drawn,
-    once for every alpha. It contributes only its proxy fields to the
-    proxy-side interval; its primary estimate feeds the comparison interval
-    alone.
+    Returns ``(proxy_lower, proxy_upper, primary_lower, primary_upper)``, each
+    of shape ``(len(alphas), K)``. Each held-out domain's moments are fit, or
+    its bootstrap replicates drawn, once for every alpha. It contributes only
+    its proxy fields to the proxy-side interval; its primary estimate feeds
+    the comparison interval alone.
     """
-    _check_method(method)
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     if len(history) < 2:
         raise ValueError("leave-one-out diagnostics require at least 2 history records")
+    for alpha in alphas:
+        _check_alpha(alpha)
+
+    theta = np.array([r.theta_hat for r in history])
+    var_primary = np.array([r.var_primary for r in history])
+    theta_star = np.array([r.theta_star_hat for r in history])
+    var_proxy = np.array([r.var_proxy for r in history])
+    z = np.array([normal_quantile(1.0 - alpha / 2.0) for alpha in alphas])
+    primary = _wald_endpoints(z, theta, var_primary)
 
     d, dv = diff_arrays(history)
-    pairs: list[_Pairs] = [[] for _ in alphas]
-    for k, rec in enumerate(history):
-        primary = [wald_interval(rec.theta_hat, rec.var_primary, alpha) for alpha in alphas]
-        held_out = TargetRecord(rec.domain_id, rec.theta_star_hat, rec.var_proxy)
-        if method == "unadjusted":
-            proxy = [wald_interval(rec.theta_star_hat, rec.var_proxy, alpha) for alpha in alphas]
-        elif method == "plugin":
-            model = _bias_model(np.delete(d, k), np.delete(dv, k))
-            proxy = [plugin_interval(held_out, model, alpha) for alpha in alphas]
-        else:
+    if method == "unadjusted":
+        proxy = _wald_endpoints(z, theta_star, var_proxy)
+    elif method == "plugin":
+        rho, gamma2 = np.empty(len(history)), np.empty(len(history))
+        for k in range(len(history)):
+            rho[k], raw = _moments(np.delete(d, k), np.delete(dv, k))
+            gamma2[k] = _truncate(raw)
+        proxy = _wald_endpoints(z, theta_star - rho, var_proxy + gamma2)
+    else:
+        levels = [alpha / 2.0 for alpha in alphas] + [1.0 - alpha / 2.0 for alpha in alphas]
+        q = np.empty((len(levels), len(history)))
+        for k, rec in enumerate(history):
+            held_out = TargetRecord(rec.domain_id, rec.theta_star_hat, rec.var_proxy)
             samples = _bootstrap_draws(
                 np.delete(d, k), np.delete(dv, k), held_out, bootstrap_draws, derive_seed(seed, k)
             )
-            proxy = [_quantile_interval(samples, alpha) for alpha in alphas]
-        for out, p, q in zip(pairs, proxy, primary):
-            out.append((p, q))
-    return pairs
+            q[:, k] = np.quantile(samples, levels)
+        proxy = q[: len(alphas)], q[len(alphas) :]
+    if not np.isfinite(proxy).all():
+        raise ValueError("held-out proxy interval endpoints must be finite")
+    return (*proxy, *primary)
 
 
-def _overlap_rate(pairs: _Pairs) -> float:
-    return sum(intervals_overlap(p, q) for p, q in pairs) / len(pairs)
-
-
-def _width_ratio(pairs: _Pairs) -> float:
-    proxy_mean = sum(p.width for p, _ in pairs) / len(pairs)
-    primary_mean = sum(q.width for _, q in pairs) / len(pairs)
-    if primary_mean == 0.0:
-        raise ValueError("primary intervals have zero mean width (degenerate variances)")
-    return proxy_mean / primary_mean
-
-
-def loo_overlap_rate(
-    history: list[DomainRecord],
-    alpha: float,
-    method: str = "plugin",
-    bootstrap_draws: int = DEFAULT_BOOTSTRAP_DRAWS,
-    seed: int = 0,
-) -> float:
-    """Fraction of held-out domains whose proxy interval meets their primary interval."""
-    return _overlap_rate(_loo_interval_pairs(history, [alpha], method, bootstrap_draws, seed)[0])
-
-
-def overlap_curve(
-    history: list[DomainRecord],
-    alphas: list[float],
-    method: str = "plugin",
-    bootstrap_draws: int = DEFAULT_BOOTSTRAP_DRAWS,
-    seed: int = 0,
-) -> list[tuple[float, float]]:
-    """Overlap rate evaluated at each alpha, as (alpha, rate) pairs."""
-    passes = _loo_interval_pairs(history, alphas, method, bootstrap_draws, seed)
-    return [(alpha, _overlap_rate(pairs)) for alpha, pairs in zip(alphas, passes)]
-
-
-def normalized_width(
-    history: list[DomainRecord],
-    alpha: float,
-    method: str = "plugin",
-    bootstrap_draws: int = DEFAULT_BOOTSTRAP_DRAWS,
-    seed: int = 0,
-) -> float:
-    """Mean held-out proxy interval width over mean primary interval width."""
-    return _width_ratio(_loo_interval_pairs(history, [alpha], method, bootstrap_draws, seed)[0])
+def _sum_in_order(widths: np.ndarray) -> np.ndarray:
+    """Row sums added left to right, as Python's ``sum``; numpy's pairwise sum rounds otherwise."""
+    return np.cumsum(widths, axis=1)[:, -1]
 
 
 def loo_table(
@@ -129,6 +90,23 @@ def loo_table(
     bootstrap_draws: int = DEFAULT_BOOTSTRAP_DRAWS,
     seed: int = 0,
 ) -> list[tuple[float, float, float]]:
-    """(alpha, overlap rate, normalized width) at each alpha, from one held-out pass."""
-    passes = _loo_interval_pairs(history, alphas, method, bootstrap_draws, seed)
-    return [(a, _overlap_rate(pairs), _width_ratio(pairs)) for a, pairs in zip(alphas, passes)]
+    """(alpha, overlap rate, normalized width) at each alpha, from one held-out pass.
+
+    The overlap rate is the fraction of held-out domains whose proxy interval
+    meets their primary interval (a shared endpoint counts); the normalized
+    width is the mean proxy interval width over the mean primary width.
+    """
+    p_lo, p_hi, q_lo, q_hi = _loo_endpoints(history, alphas, method, bootstrap_draws, seed)
+    k = len(history)
+    hits = np.count_nonzero((p_lo <= q_hi) & (q_lo <= p_hi), axis=1)
+    proxy_mean = _sum_in_order(p_hi - p_lo) / k
+    primary_mean = _sum_in_order(q_hi - q_lo) / k
+    if (primary_mean == 0.0).any():
+        raise ValueError(
+            "primary intervals have zero mean width: var_primary is too small "
+            "to widen theta_hat (degenerate variances)"
+        )
+    return [
+        (alpha, int(h) / k, float(p / q))
+        for alpha, h, p, q in zip(alphas, hits, proxy_mean, primary_mean)
+    ]

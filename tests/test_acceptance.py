@@ -19,7 +19,7 @@ from proxycal import (
     bootstrap_interval,
     fit_mom,
     fit_weighted_mom,
-    loo_overlap_rate,
+    loo_table,
     plugin_interval,
     run_experiment,
 )
@@ -260,8 +260,8 @@ def test_criterion_8_loo_direction_on_biased_history():
             theta + phi + rng.normal(0.0, 0.01),
             1e-4, 1e-4, 0.0,
         ))
-    unadjusted = loo_overlap_rate(records, 0.05, "unadjusted")
-    adjusted = loo_overlap_rate(records, 0.05, "plugin")
+    unadjusted = loo_table(records, [0.05], "unadjusted")[0][1]
+    adjusted = loo_table(records, [0.05], "plugin")[0][1]
     ok = adjusted > unadjusted and adjusted >= 0.90
     report(8, "loo direction on injected bias", ok,
            f"unadjusted {unadjusted:.3f} -> adjusted {adjusted:.3f} (>= 0.90)")

@@ -1,7 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from proxycal import (
     BiasModel,
@@ -9,6 +12,7 @@ from proxycal import (
     DomainRecord,
     TargetRecord,
     bootstrap_interval,
+    diagnostics,
     fit_mom,
     normal_quantile,
     intervals,
@@ -59,7 +63,7 @@ class TestNormalQuantile:
         normal_quantile.cache_clear()
         cached = loo_table(history, alphas, "plugin")
         assert len(calls) <= 3
-        monkeypatch.setattr(intervals, "normal_quantile", normal_quantile.__wrapped__)
+        monkeypatch.setattr(diagnostics, "normal_quantile", normal_quantile.__wrapped__)
         assert loo_table(history, alphas, "plugin") == cached
         assert len(calls) > 3
 
@@ -255,6 +259,21 @@ class TestDomainBootstrap:
         d, dv = diff_arrays(history)
         lower, upper = np.quantile(_bootstrap_samples(d, dv, target, 4, 0, draws), [0.05, 0.95])
         assert (got.lower, got.upper) == (lower, upper)
+
+    @given(
+        domains=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 0.01)),
+                         min_size=1, max_size=30),
+        draws=st.integers(2, 300),
+        chunk_bytes=st.integers(1, 1 << 14),
+    )
+    @example(domains=[(0.1, 0.0), (0.3, 0.002)], draws=50, chunk_bytes=1)  # one draw a chunk
+    def test_chunking_never_changes_the_interval(self, domains, draws, chunk_bytes):
+        model = fit_mom(history_of(domains))
+        target = TargetRecord("t", 0.6, 0.002)
+        whole = bootstrap_interval(target, model, 0.1, draws=draws, seed=9)
+        with mock.patch.object(intervals, "_BOOT_CHUNK_BYTES", chunk_bytes):
+            chunked = bootstrap_interval(target, model, 0.1, draws=draws, seed=9)
+        assert chunked == whole
 
     def test_translation_equivariance(self):
         history = history_of([(0.05, 0.001), (0.2, 0.002), (-0.1, 0.004)])

@@ -108,13 +108,9 @@ PUBLIC_API = [
     "fit_mom",
     "fit_weighted_mom",
     "gen_domain",
-    "intervals_overlap",
-    "loo_overlap_rate",
     "loo_table",
     "normal_quantile",
-    "normalized_width",
     "outcome_prob",
-    "overlap_curve",
     "plugin_interval",
     "proxy_score",
     "run_experiment",

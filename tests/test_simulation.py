@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from proxycal import (
@@ -460,7 +460,6 @@ class TestDomainTable:
 
 
 class TestTruth:
-    @settings(derandomize=True, deadline=None)
     @given(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=10))
     @example([0.0, 0.0, 0.0, 0.0])
     @example([0.5, -0.5, 0.5, -0.5])
