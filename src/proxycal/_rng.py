@@ -35,14 +35,18 @@ def derive_seed(seed: int, *path: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def uniform_block(seed: int, path: tuple[int, ...], start: int, count: int) -> np.ndarray:
+def uniform_block(
+    seed: int, path: tuple[int, ...], start: int, count: int, out: np.ndarray | None = None
+) -> np.ndarray:
     """Uniform doubles at absolute positions ``[start, start + count)``.
 
     ``start`` must be a multiple of :data:`BLOCK` so the Philox counter can be
-    positioned exactly; callers pad their per-item strides accordingly.
+    positioned exactly; callers pad their per-item strides accordingly. When
+    ``out`` (a contiguous 1-D float64 array of length ``count``) is given, the
+    uniforms are written into it and it is returned; the values are the same.
     """
     if start % BLOCK:
         raise ValueError(f"block start must be a multiple of {BLOCK}, got {start}")
     bitgen = np.random.Philox(seed=_seed_sequence(seed, path))
     bitgen.advance(start // BLOCK)
-    return np.random.Generator(bitgen).random(count)
+    return np.random.Generator(bitgen).random(count, out=out)

@@ -137,18 +137,23 @@ def diff_arrays(history: list[DomainRecord]) -> tuple[np.ndarray, np.ndarray]:
     return np.array([s[0] for s in stats]), np.array([s[1] for s in stats])
 
 
-def _moments(d: np.ndarray, dv: np.ndarray, w: np.ndarray | None = None):
+def _moments(
+    d: np.ndarray, dv: np.ndarray, w: np.ndarray | None = None, scratch: np.ndarray | None = None
+):
     """``(rho, gamma2 before truncation)`` of the moment fit along the last axis.
 
     Leading axes of ``d`` (differences) and ``dv`` (their variances) index
     independent fits. A 1-D weight vector ``w`` summing to one replaces the
-    plain means.
+    plain means. When ``scratch`` (an array shaped like ``d``, which may be
+    ``d`` itself) is given, the squared deviations are written into it.
     """
     if w is None:
         rho = d.mean(axis=-1)
-        return rho, ((d - rho[..., None]) ** 2).mean(axis=-1) - dv.mean(axis=-1)
+        dev = np.subtract(d, rho[..., None], out=scratch)
+        return rho, np.square(dev, out=dev).mean(axis=-1) - dv.mean(axis=-1)
     rho = w @ d
-    return rho, w @ (d - rho) ** 2 - w @ dv
+    dev = np.subtract(d, rho, out=scratch)
+    return rho, w @ np.square(dev, out=dev) - w @ dv
 
 
 def _truncate(gamma2_raw):

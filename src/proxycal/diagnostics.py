@@ -14,7 +14,13 @@ import numpy as np
 
 from ._rng import derive_seed
 from .core import DomainRecord, TargetRecord, _moments, _truncate, diff_arrays
-from .intervals import DEFAULT_BOOTSTRAP_DRAWS, _bootstrap_draws, _check_alpha, normal_quantile
+from .intervals import (
+    DEFAULT_BOOTSTRAP_DRAWS,
+    _bootstrap_draws,
+    _BootWork,
+    _check_alpha,
+    normal_quantile,
+)
 
 METHODS = ("unadjusted", "plugin", "bootstrap")
 
@@ -38,7 +44,8 @@ def _loo_endpoints(
     of shape ``(len(alphas), K)``. Each held-out domain's moments are fit, or
     its bootstrap replicates drawn, once for every alpha. It contributes only
     its proxy fields to the proxy-side interval; its primary estimate feeds
-    the comparison interval alone.
+    the comparison interval alone. A zero mean primary width is rejected
+    before any proxy interval is built.
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
@@ -53,6 +60,11 @@ def _loo_endpoints(
     var_proxy = np.array([r.var_proxy for r in history])
     z = np.array([normal_quantile(1.0 - alpha / 2.0) for alpha in alphas])
     primary = _wald_endpoints(z, theta, var_primary)
+    if (_mean_width(*primary) == 0.0).any():
+        raise ValueError(
+            "primary intervals have zero mean width: var_primary is too small "
+            "to widen theta_hat (degenerate variances)"
+        )
 
     d, dv = diff_arrays(history)
     if method == "unadjusted":
@@ -66,10 +78,13 @@ def _loo_endpoints(
     else:
         levels = [alpha / 2.0 for alpha in alphas] + [1.0 - alpha / 2.0 for alpha in alphas]
         q = np.empty((len(levels), len(history)))
+        # every held-out fit resamples K - 1 domains, so one set of buffers serves all
+        work = _BootWork.for_draws(len(history) - 1, bootstrap_draws)
         for k, rec in enumerate(history):
             held_out = TargetRecord(rec.domain_id, rec.theta_star_hat, rec.var_proxy)
             samples = _bootstrap_draws(
-                np.delete(d, k), np.delete(dv, k), held_out, bootstrap_draws, derive_seed(seed, k)
+                np.delete(d, k), np.delete(dv, k), held_out, bootstrap_draws,
+                derive_seed(seed, k), work,
             )
             q[:, k] = np.quantile(samples, levels)
         proxy = q[: len(alphas)], q[len(alphas) :]
@@ -78,9 +93,12 @@ def _loo_endpoints(
     return (*proxy, *primary)
 
 
-def _sum_in_order(widths: np.ndarray) -> np.ndarray:
-    """Row sums added left to right, as Python's ``sum``; numpy's pairwise sum rounds otherwise."""
-    return np.cumsum(widths, axis=1)[:, -1]
+def _mean_width(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Mean width of each row's intervals, added left to right as Python's ``sum``.
+
+    numpy's pairwise sum would round differently.
+    """
+    return np.cumsum(upper - lower, axis=1)[:, -1] / lower.shape[1]
 
 
 def loo_table(
@@ -99,13 +117,8 @@ def loo_table(
     p_lo, p_hi, q_lo, q_hi = _loo_endpoints(history, alphas, method, bootstrap_draws, seed)
     k = len(history)
     hits = np.count_nonzero((p_lo <= q_hi) & (q_lo <= p_hi), axis=1)
-    proxy_mean = _sum_in_order(p_hi - p_lo) / k
-    primary_mean = _sum_in_order(q_hi - q_lo) / k
-    if (primary_mean == 0.0).any():
-        raise ValueError(
-            "primary intervals have zero mean width: var_primary is too small "
-            "to widen theta_hat (degenerate variances)"
-        )
+    proxy_mean = _mean_width(p_lo, p_hi)
+    primary_mean = _mean_width(q_lo, q_hi)
     return [
         (alpha, int(h) / k, float(p / q))
         for alpha, h, p, q in zip(alphas, hits, proxy_mean, primary_mean)

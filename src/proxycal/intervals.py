@@ -21,11 +21,11 @@ DEFAULT_BOOTSTRAP_DRAWS = 4000
 
 # Draws are materialized in chunks whose uniform block takes at most this many
 # bytes (at least one draw); the per-draw stream addressing makes the result
-# independent of the chunking. Whether the allocator reuses a freed chunk
-# depends on the heap's layout and moves peak RSS by up to about one chunk, so
-# chunks stay small, but not so small that the allocator returns each freed
-# chunk to the system and faults it in again (it did at 1 MiB).
-_BOOT_CHUNK_BYTES = 1 << 21
+# independent of the chunking. A call allocates its chunk buffers, about three
+# times this size, once, and every chunk reuses them. On K = 60 and K = 800
+# bootstraps 1 MiB ran as fast as 2 and 4 MiB in less memory; 256 and 512 KiB
+# ran slower.
+_BOOT_CHUNK_BYTES = 1 << 20
 
 # Sub-path tag for the bootstrap uniform stream.
 _BOOT_PATH = (0,)
@@ -164,6 +164,27 @@ def _draw_stride(m: int) -> int:
     return BLOCK * -(-(m + 1) // BLOCK)
 
 
+class _BootWork:
+    """Buffers for chunks of up to ``chunk`` bootstrap draws over ``m`` domains.
+
+    ``u`` holds a chunk's uniforms and, once they are turned into the indices
+    ``idx``, its resampled differences; ``dv`` holds the resampled variances.
+    One set serves any number of :func:`_bootstrap_draws` calls over ``m``
+    domains; every chunk overwrites whatever an earlier one left.
+    """
+
+    def __init__(self, m: int, chunk: int) -> None:
+        self.chunk = chunk
+        self.u = np.empty(chunk * _draw_stride(m))
+        self.idx = np.empty((chunk, m), dtype=np.intp)
+        self.dv = np.empty((chunk, m))
+
+    @classmethod
+    def for_draws(cls, m: int, draws: int) -> _BootWork:
+        """Buffers whose chunk holds at most :data:`_BOOT_CHUNK_BYTES` of uniforms."""
+        return cls(m, max(1, min(draws, _BOOT_CHUNK_BYTES // (8 * _draw_stride(m)))))
+
+
 def _bootstrap_samples(
     d: np.ndarray,
     dv: np.ndarray,
@@ -171,39 +192,57 @@ def _bootstrap_samples(
     seed: int,
     start: int,
     stop: int,
+    work: _BootWork | None = None,
 ) -> np.ndarray:
     """Bootstrap replicates for draw indices ``[start, stop)``.
 
     Draw ``b`` consumes a fixed block of the uniform stream determined only by
     ``(seed, b)``: ``m`` uniforms select the resampled domains and one more
     feeds an inverse-CDF normal. Any split of the index range therefore
-    reproduces identical values.
+    reproduces identical values. The large temporaries live in ``work``, whose
+    chunk must hold ``stop - start`` draws; without it they are allocated.
     """
-    m = len(d)
+    m, n = len(d), stop - start
+    if work is None:
+        work = _BootWork(m, n)
     stride = _draw_stride(m)
-    u = uniform_block(seed, _BOOT_PATH, start * stride, (stop - start) * stride)
-    u = u.reshape(stop - start, stride)
+    u = uniform_block(seed, _BOOT_PATH, start * stride, n * stride, out=work.u[: n * stride])
+    u = u.reshape(n, stride)
 
     # shift keeps the uniform strictly inside (0, 1) for the inverse CDF
     z = _ndtri(u[:, m] + 2.0 ** -54)
-    idx = np.minimum((u[:, :m] * m).astype(np.intp), m - 1)
-    # the uniforms go before the resampled arrays exist, bounding peak memory
-    del u
-    rho_b, gamma2_b = _moments(d[idx], dv[idx])
+    scaled = np.multiply(u[:, :m], m, out=u[:, :m])
+    idx = work.idx[:n]
+    np.copyto(idx, scaled, casting="unsafe")
+    np.minimum(idx, m - 1, out=idx)
+    # the indices lie in [0, m - 1] already, so "clip" changes none; unlike the
+    # default "raise", it writes straight into ``out`` instead of a buffer
+    d_b = np.take(d, idx, out=work.u[: n * m].reshape(n, m), mode="clip")
+    dv_b = np.take(dv, idx, out=work.dv[:n], mode="clip")
+    rho_b, gamma2_b = _moments(d_b, dv_b, scratch=d_b)
     return (target.theta_star_hat - rho_b) + np.sqrt(target.var_proxy + _truncate(gamma2_b)) * z
 
 
 def _bootstrap_draws(
-    d: np.ndarray, dv: np.ndarray, target: TargetRecord, draws: int, seed: int
+    d: np.ndarray,
+    dv: np.ndarray,
+    target: TargetRecord,
+    draws: int,
+    seed: int,
+    work: _BootWork | None = None,
 ) -> np.ndarray:
-    """All ``draws`` bootstrap replicates, materialized chunk by chunk."""
+    """All ``draws`` bootstrap replicates, chunk by chunk through one :class:`_BootWork`.
+
+    ``work`` must be built for ``len(d)`` domains; without it one is built here.
+    """
     if draws < 2:
         raise ValueError(f"draws must be >= 2, got {draws}")
+    if work is None:
+        work = _BootWork.for_draws(len(d), draws)
     samples = np.empty(draws)
-    chunk = max(1, _BOOT_CHUNK_BYTES // (8 * _draw_stride(len(d))))
-    for start in range(0, draws, chunk):
-        stop = min(start + chunk, draws)
-        samples[start:stop] = _bootstrap_samples(d, dv, target, seed, start, stop)
+    for start in range(0, draws, work.chunk):
+        stop = min(start + work.chunk, draws)
+        samples[start:stop] = _bootstrap_samples(d, dv, target, seed, start, stop, work)
     return samples
 
 

@@ -15,6 +15,7 @@ from proxycal import (
     plugin_interval,
     wald_interval,
 )
+from proxycal import diagnostics
 from proxycal._rng import derive_seed
 from proxycal.diagnostics import _loo_endpoints
 
@@ -242,6 +243,15 @@ class TestNormalizedWidth:
         with pytest.raises(ValueError, match="zero mean width"):
             loo_table(history, [0.05], "unadjusted")
 
+    def test_zero_primary_width_errors_before_any_bootstrap(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the bootstrap was drawn")
+
+        monkeypatch.setattr(diagnostics, "_bootstrap_draws", refuse)
+        history = [DomainRecord(f"d{i}", 0.5, 0.6, 0.0, 0.001, 0.0) for i in range(3)]
+        with pytest.raises(ValueError, match="zero mean width"):
+            loo_table(history, [0.05], "bootstrap")
+
     def test_denormal_primary_variance_errors(self):
         # sqrt(5e-324) * z is far below half an ulp of 0.5: the interval is a point
         history = [DomainRecord(f"d{i}", 0.5, 0.6, 5e-324, 0.001, 0.0) for i in range(3)]
@@ -349,9 +359,9 @@ class TestSinglePass:
         blocks = []
         original = intervals.uniform_block
 
-        def counted(seed, path, start, count):
+        def counted(seed, path, start, count, out):
             blocks.append(seed)
-            return original(seed, path, start, count)
+            return original(seed, path, start, count, out=out)
 
         monkeypatch.setattr(intervals, "uniform_block", counted)
         history = outlier_history()

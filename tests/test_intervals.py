@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -244,9 +245,9 @@ class TestDomainBootstrap:
         target = TargetRecord("t", 0.7, 0.003)
         chunks = []
 
-        def recorded(d, dv, target, seed, start, stop):
+        def recorded(d, dv, target, seed, start, stop, work):
             chunks.append((start, stop))
-            return _bootstrap_samples(d, dv, target, seed, start, stop)
+            return _bootstrap_samples(d, dv, target, seed, start, stop, work)
 
         monkeypatch.setattr(intervals, "_bootstrap_samples", recorded)
         got = bootstrap_interval(target, fit_mom(history), 0.1, draws=draws, seed=4)
@@ -275,6 +276,30 @@ class TestDomainBootstrap:
             chunked = bootstrap_interval(target, model, 0.1, draws=draws, seed=9)
         assert chunked == whole
 
+    @given(
+        domains=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 0.01)),
+                         min_size=1, max_size=30),
+        calls=st.lists(st.tuples(st.integers(2, 300), st.integers(0, 2**64 - 1)),
+                       min_size=2, max_size=4),
+        chunk_bytes=st.integers(1, 1 << 14),
+    )
+    def test_reused_work_set_equals_fresh_buffers(self, domains, calls, chunk_bytes):
+        d, dv = (np.array(column) for column in zip(*domains))
+        m = len(d)
+        target = TargetRecord("t", 0.6, 0.002)
+        with mock.patch.object(intervals, "_BOOT_CHUNK_BYTES", chunk_bytes):
+            work = intervals._BootWork.for_draws(m, max(draws for draws, _ in calls))
+        # stale values that a missed write would leak: NaN, and an index one past the end
+        work.u.fill(np.nan)
+        work.dv.fill(np.nan)
+        work.idx.fill(m)
+        for i, (draws, seed) in enumerate(calls):
+            # each call rotates the domains, as each held-out domain of a LOO pass differs
+            d_i, dv_i = np.roll(d, i), np.roll(dv, i)
+            reused = intervals._bootstrap_draws(d_i, dv_i, target, draws, seed, work)
+            fresh = _bootstrap_samples(d_i, dv_i, target, seed, 0, draws)
+            assert reused.tobytes() == fresh.tobytes()
+
     def test_translation_equivariance(self):
         history = history_of([(0.05, 0.001), (0.2, 0.002), (-0.1, 0.004)])
         a = bootstrap_interval(TargetRecord("t", 0.7, 0.003), fit_mom(history), 0.05,
@@ -291,6 +316,48 @@ class TestDomainBootstrap:
             bootstrap_interval(target, fit_mom(history_of([(0.1, 0.0)])), 0.05, draws=1, seed=0)
         with pytest.raises(ValueError):
             bootstrap_interval(target, fit_mom(history_of([(0.1, 0.0)])), 1.5, draws=100, seed=0)
+
+
+class TestBootstrapMemory:
+    """Peak traced memory of a bootstrap, whatever the number of chunks."""
+
+    @staticmethod
+    def bound(draws):
+        # the chunk buffers (uniforms, later the resampled differences; indices;
+        # resampled variances) take at most three chunks; the replicates and the
+        # sorted copy np.quantile makes take 8 bytes a draw each; 256 KiB covers
+        # the small arrays and Python objects
+        return 3 * intervals._BOOT_CHUNK_BYTES + 3 * 8 * draws + (1 << 18)
+
+    @staticmethod
+    def peak(run):
+        run()  # caches and lazy imports stay outside the trace
+        tracemalloc.start()
+        try:
+            run()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("shrink", [1, 16])
+    def test_bootstrap_interval(self, monkeypatch, shrink):
+        monkeypatch.setattr(intervals, "_BOOT_CHUNK_BYTES", intervals._BOOT_CHUNK_BYTES // shrink)
+        k, draws = 800, 20_000
+        rng = np.random.default_rng(5)
+        model = fit_mom(history_of(zip(rng.normal(0.1, 0.2, k), rng.uniform(0.0, 0.01, k))))
+        target = TargetRecord("t", 0.7, 0.003)
+        peak = self.peak(lambda: bootstrap_interval(target, model, 0.1, draws=draws, seed=2))
+        assert peak < self.bound(draws)
+
+    @pytest.mark.parametrize("shrink", [1, 16])
+    def test_loo_table(self, monkeypatch, shrink):
+        monkeypatch.setattr(intervals, "_BOOT_CHUNK_BYTES", intervals._BOOT_CHUNK_BYTES // shrink)
+        k, draws = 60, 4000
+        rng = np.random.default_rng(6)
+        history = [DomainRecord(f"d{i}", t, t + rng.normal(0.02, 0.05), 1e-3, 1e-3, 0.0)
+                   for i, t in enumerate(rng.uniform(0.2, 0.8, k))]
+        peak = self.peak(lambda: loo_table(history, [0.05], "bootstrap", draws, 7))
+        assert peak < self.bound(draws)
 
 
 class TestConfidenceInterval:
