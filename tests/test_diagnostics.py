@@ -9,13 +9,13 @@ from proxycal import (
     DomainRecord,
     TargetRecord,
     bootstrap_interval,
+    diagnostics,
     fit_mom,
     loo_table,
     normal_quantile,
     plugin_interval,
     wald_interval,
 )
-from proxycal import diagnostics
 from proxycal._rng import derive_seed
 from proxycal.diagnostics import _loo_endpoints
 
