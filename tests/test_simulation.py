@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -213,6 +214,16 @@ class TestWeightedTransport:
         rows = rows or n_per_domain + 1
         monkeypatch.setattr(simulation, "_TRANSPORT_BLOCK_BYTES", 8 * n_domains * rows)
         self.test_every_pair_matches_brute_force(n_domains, n_per_domain, kappa, seed)
+
+    def test_multi_block_bytes_pinned(self):
+        # three 1 MiB blocks per source, the last one partial; the golden
+        # simulate pins all fit in a single block
+        cfg = SimConfig(n_domains=25, n_per_domain=12_000, kappa=1.0, seed=0)
+        rows = simulation._TRANSPORT_BLOCK_BYTES // (8 * cfg.n_domains)
+        assert 2 * rows < cfg.n_per_domain < 3 * rows
+        delta, var = _weighted_transport(_replicate_domains(cfg, 0))
+        digest = hashlib.sha256(delta.tobytes() + var.tobytes()).hexdigest()
+        assert digest == "202acfc4502d09c16c12b41220bed9d11dc042db9221024b242afc8a95ffa94c"
 
     def test_memory_bounded_at_large_n(self):
         rng = np.random.default_rng(6)
