@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from proxycal import (
     DomainRecord,
@@ -190,6 +191,17 @@ class TestDensityRatio:
 
 TRANSPORT_CASES = [(2, 30, 0.0, 1), (4, 60, 1.0, 2), (5, 40, 10.0, 3), (7, 25, 0.5, 4)]
 
+# ties, both infinities and both signed zeros among ordinary values
+BLOCK_VALUES = st.one_of(st.sampled_from([-np.inf, np.inf, -0.0, 0.0, 1.0, -1.0]),
+                         st.floats(-1e300, 1e300))
+
+
+def signed_zero_block(rows: int, k: int) -> np.ndarray:
+    """Columns of -0.0 and 0.0 in a varying order, with one row of +inf."""
+    e = np.where(np.arange(rows * k).reshape(rows, k) % 3 == 0, -0.0, 0.0)
+    e[rows // 2] = np.inf
+    return e
+
 
 class TestWeightedTransport:
     @pytest.mark.parametrize("n_domains, n_per_domain, kappa, seed", TRANSPORT_CASES)
@@ -204,10 +216,12 @@ class TestWeightedTransport:
                 ref = transport_reference(xs, resids, src.mean.tolist(), dom.mean.tolist())
                 assert (delta[j, t], var[j, t]) == pytest.approx(ref, rel=1e-10)
 
-    # one row per block, 7 rows (no n here is a multiple of 7), and more rows than n
-    @pytest.mark.parametrize("rows", [1, 7, None])
+    # one row per block, 7 rows (no n here is a multiple of 7), 8 and 13 rows
+    # (folded column work without and with a tail), and more rows than n;
+    # n = 27 = 2 * 13 + 1 leaves a one-row last block
+    @pytest.mark.parametrize("rows", [1, 7, 8, 13, None])
     @pytest.mark.parametrize("n_domains, n_per_domain, kappa, seed",
-                             TRANSPORT_CASES + [(3, 50, 2.0, 5)])
+                             TRANSPORT_CASES + [(3, 50, 2.0, 5), (3, 27, 1.5, 6)])
     def test_every_block_size_matches_brute_force(
         self, monkeypatch, rows, n_domains, n_per_domain, kappa, seed
     ):
@@ -225,9 +239,23 @@ class TestWeightedTransport:
         digest = hashlib.sha256(delta.tobytes() + var.tobytes()).hexdigest()
         assert digest == "202acfc4502d09c16c12b41220bed9d11dc042db9221024b242afc8a95ffa94c"
 
-    def test_memory_bounded_at_large_n(self):
+    @given(e=st.integers(1, 70).flatmap(lambda rows: st.integers(1, 30).flatmap(
+        lambda k: hnp.arrays(np.float64, (rows, k), elements=BLOCK_VALUES))))
+    @example(e=signed_zero_block(5, 3))    # fewer than 8 rows: no folded head
+    @example(e=signed_zero_block(16, 25))  # a multiple of 8 rows: no tail
+    @example(e=signed_zero_block(21, 7))   # folded head and a tail
+    def test_folded_column_work_equals_plain(self, e):
+        m = simulation._column_max(e)
+        assert np.array_equal(m, e.max(axis=0))
+        shifted = e.copy()
+        with np.errstate(invalid="ignore"):  # inf - inf
+            simulation._subtract_columns(shifted, np.tile(m, simulation._FOLD))
+            assert shifted.tobytes() == (e - m).tobytes()
+
+    @staticmethod
+    def transport_peak(n: int = 100_000, k: int = 25) -> int:
+        """tracemalloc's peak over one ``_transport_block`` call."""
         rng = np.random.default_rng(6)
-        n, k = 100_000, 25
         src = DomainData(covariates=rng.standard_normal((n, 4)),
                          primary=(rng.random(n) < 0.3).astype(np.int8),
                          proxy=rng.random(n), mean=np.zeros(4), threshold=0.0)
@@ -235,11 +263,22 @@ class TestWeightedTransport:
         tracemalloc.start()
         try:
             simulation._transport_block(src, mu_targets)
-            peak = tracemalloc.get_traced_memory()[1]
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+
+    def test_memory_bounded_at_large_n(self):
         # one n x K float64 array alone would take 19 MiB
-        assert peak < 8 * 2**20
+        assert self.transport_peak() < 8 * 2**20
+
+    # the default block and 1/16 of it: sixteen times as many blocks
+    @pytest.mark.parametrize("fraction", [1, 16])
+    def test_memory_is_one_block_buffer(self, monkeypatch, fraction):
+        block = simulation._TRANSPORT_BLOCK_BYTES // fraction
+        monkeypatch.setattr(simulation, "_TRANSPORT_BLOCK_BYTES", block)
+        # one block of log ratios plus (3, rows) residual powers is 1.12 blocks at
+        # K = 25; numpy adds one fixed 8 * bufsize-byte buffer for a broadcast operand
+        assert self.transport_peak() < 1.5 * block + 8 * np.getbufsize()
 
 
 class TestGenDomain:
