@@ -253,9 +253,10 @@ class TestWeightedTransport:
             assert shifted.tobytes() == (e - m).tobytes()
 
     @staticmethod
-    def transport_peak(n: int = 100_000, k: int = 25) -> int:
-        """tracemalloc's peak over one ``_transport_block`` call."""
+    def transport_peak() -> int:
+        """tracemalloc's peak over one ``_transport_block`` call at n = 100,000, K = 25."""
         rng = np.random.default_rng(6)
+        n, k = 100_000, 25
         src = DomainData(covariates=rng.standard_normal((n, 4)),
                          primary=(rng.random(n) < 0.3).astype(np.int8),
                          proxy=rng.random(n), mean=np.zeros(4), threshold=0.0)
