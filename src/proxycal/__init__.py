@@ -15,7 +15,6 @@ from .contextual import (
     fit_weighted_mom,
     similarity_weights,
     time_decay_weights,
-    tune_beta,
 )
 from .core import (
     WARN_GAMMA2_TRUNCATED,
@@ -25,7 +24,6 @@ from .core import (
     InvalidRecordError,
     TargetRecord,
     debias,
-    diff_stats,
     fit_mom,
 )
 from .dataio import TOOL_VERSION
@@ -44,9 +42,7 @@ from .simulation import (
     CellResult,
     DomainData,
     SimConfig,
-    build_history,
     cov_components,
-    estimate_all,
     exact_prevalence,
     gen_domain,
     outcome_prob,
@@ -74,13 +70,10 @@ __all__ = [
     "WARN_GAMMA2_TRUNCATED",
     "WARN_INSUFFICIENT_DOMAINS",
     "bootstrap_interval",
-    "build_history",
     "contextual_interval",
     "cov_components",
     "debias",
     "default_beta_grid",
-    "diff_stats",
-    "estimate_all",
     "exact_prevalence",
     "fit_mom",
     "fit_weighted_mom",
@@ -95,6 +88,5 @@ __all__ = [
     "similarity_weights",
     "threshold_count",
     "time_decay_weights",
-    "tune_beta",
     "wald_interval",
 ]

@@ -35,14 +35,20 @@ class ContextWeights:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        if any(w < 0 or not math.isfinite(w) for w in self.weights):
-            raise ValueError("weights must be finite and nonnegative")
-        if abs(sum(self.weights) - 1.0) > _SUM_TOL:
-            raise ValueError(f"weights must sum to 1, got {sum(self.weights)}")
+        _check_weights(np.array(self.weights))
         if self.beta <= 0:
             raise ValueError(f"beta must be > 0, got {self.beta}")
         if self.time_bandwidth is not None and self.time_bandwidth <= 0:
             raise ValueError(f"time_bandwidth must be > 0, got {self.time_bandwidth}")
+
+
+def _check_weights(w: np.ndarray) -> None:
+    """Raise unless ``w`` is finite and nonnegative and, added left to right, sums to one."""
+    if not np.isfinite(w).all() or (w < 0).any():
+        raise ValueError("weights must be finite and nonnegative")
+    total = sum(w.tolist())
+    if abs(total - 1.0) > _SUM_TOL:
+        raise ValueError(f"weights must sum to 1, got {total}")
 
 
 def similarity_weights(
@@ -56,7 +62,8 @@ def similarity_weights(
     to one. If every similarity underflows to zero the target sits far outside
     the history's context support and no weighting is meaningful.
     """
-    return _kernel_weights(_squared_distances(history_contexts, target_context), beta)
+    w = _kernel_weights(_squared_distances(history_contexts, target_context), beta)
+    return ContextWeights(weights=tuple(w), beta=beta)
 
 
 def _squared_distances(
@@ -73,15 +80,18 @@ def _squared_distances(
     return np.array([float(((c - tgt) ** 2).sum()) for c in ctx])
 
 
-def _kernel_weights(sq: np.ndarray, beta: float) -> ContextWeights:
-    """Normalized squared-exponential weights at bandwidth ``beta``."""
+def _kernel_weights(sq: np.ndarray, beta: float) -> np.ndarray:
+    """Normalized squared-exponential weights at bandwidth ``beta``, checked as
+    :class:`ContextWeights` checks its weights."""
     if beta <= 0:
         raise ValueError(f"beta must be > 0, got {beta}")
     raw = np.exp(-sq / (2.0 * beta * beta))
     total = raw.sum()
     if total == 0.0:
         raise ValueError("all similarities underflowed: target context lies outside history support")
-    return ContextWeights(weights=tuple(raw / total), beta=beta)
+    w = raw / total
+    _check_weights(w)
+    return w
 
 
 def time_decay_weights(
@@ -159,9 +169,10 @@ def beta_profile(
     profile = []
     for beta in beta_grid:
         try:
-            w = np.asarray(_kernel_weights(sq, beta).weights)
+            w = _kernel_weights(sq, beta)
         except ValueError:
-            # nonpositive bandwidth or all-zero similarity: degenerate, not fatal
+            # nonpositive bandwidth, or weights that underflow or are not finite:
+            # degenerate, not fatal
             profile.append((beta, -math.inf))
             continue
         model = _bias_model(d, dv, w)
@@ -173,18 +184,6 @@ def best_beta(profile: list[tuple[float, float]]) -> tuple[float, float]:
     """Profile entry ``(beta, loglik)`` with the largest loglik; ties go to the first."""
     best = max(range(len(profile)), key=lambda i: (profile[i][1], -i))
     return profile[best]
-
-
-def tune_beta(
-    history: list[DomainRecord],
-    target_context: tuple[float, ...],
-    beta_grid: list[float],
-) -> tuple[float, float]:
-    """Grid-search bandwidth maximizing the weighted marginal likelihood.
-
-    Ties resolve to the first grid point attaining the maximum.
-    """
-    return best_beta(beta_profile(history, target_context, beta_grid))
 
 
 def default_beta_grid(num: int = 41) -> list[float]:

@@ -44,6 +44,15 @@ def _check_finite(domain_id: str, **values: float) -> None:
             raise InvalidRecordError(f"{domain_id}: {name} must be finite, got {v}")
 
 
+def _check_side_info(record) -> None:
+    """Store a record's context as a tuple of floats; its entries and timestamp must be finite."""
+    if record.context is not None:
+        object.__setattr__(record, "context", tuple(float(c) for c in record.context))
+        _check_finite(record.domain_id, **{f"context[{i}]": c for i, c in enumerate(record.context)})
+    if record.timestamp is not None:
+        _check_finite(record.domain_id, timestamp=record.timestamp)
+
+
 @dataclass(frozen=True)
 class DomainRecord:
     """Aggregate summary of one fully observed historical domain.
@@ -65,8 +74,7 @@ class DomainRecord:
     def __post_init__(self) -> None:
         _check_finite(self.domain_id, theta_hat=self.theta_hat, theta_star_hat=self.theta_star_hat)
         _check_cov_block(self.domain_id, self.var_primary, self.var_proxy, self.cov_primary_proxy)
-        if self.context is not None:
-            object.__setattr__(self, "context", tuple(float(c) for c in self.context))
+        _check_side_info(self)
 
 
 @dataclass(frozen=True)
@@ -85,8 +93,7 @@ class TargetRecord:
             raise InvalidRecordError(
                 f"{self.domain_id}: var_proxy must be finite and >= 0, got {self.var_proxy}"
             )
-        if self.context is not None:
-            object.__setattr__(self, "context", tuple(float(c) for c in self.context))
+        _check_side_info(self)
 
 
 @dataclass(frozen=True)
@@ -118,23 +125,33 @@ class BiasModel:
             raise ValueError("diffs and diff_vars must have length n_domains")
 
 
-def diff_stats(record: DomainRecord) -> tuple[float, float]:
-    """Proxy-primary difference and its sampling variance for one domain.
+def _record_columns(history: list[DomainRecord]) -> np.ndarray:
+    """``(5, K)`` array of the records' ``theta_hat``, ``theta_star_hat``,
+    ``var_primary``, ``var_proxy`` and ``cov_primary_proxy`` rows."""
+    return np.array([
+        (r.theta_hat, r.theta_star_hat, r.var_primary, r.var_proxy, r.cov_primary_proxy)
+        for r in history
+    ], dtype=float).reshape(-1, 5).T
+
+
+def _diffs(theta_hat, theta_star_hat, var_primary, var_proxy, cov_primary_proxy):
+    """Per-domain proxy-primary differences and their sampling variances.
 
     Returns ``(d, diff_var)`` with ``d = theta_star_hat - theta_hat`` and
-    ``diff_var = var_primary + var_proxy - 2 * cov_primary_proxy``. The
-    covariance bound enforced on the record guarantees ``diff_var >= 0`` up
-    to rounding, which is clipped away.
+    ``diff_var = var_primary + var_proxy - 2 * cov_primary_proxy`` over
+    whole columns. The covariance bound enforced on records guarantees
+    ``diff_var >= 0`` up to rounding, which is clipped away; a clipped or
+    negative-zero variance comes out as ``+0.0``. A difference beyond the
+    float range is ``inf``, as in scalar arithmetic, without a warning.
     """
-    d = record.theta_star_hat - record.theta_hat
-    diff_var = record.var_primary + record.var_proxy - 2.0 * record.cov_primary_proxy
-    return d, max(0.0, diff_var)
+    with np.errstate(over="ignore"):
+        dv = var_primary + var_proxy - 2.0 * cov_primary_proxy
+        return theta_star_hat - theta_hat, np.where(dv > 0.0, dv, 0.0)
 
 
 def diff_arrays(history: list[DomainRecord]) -> tuple[np.ndarray, np.ndarray]:
-    """Per-domain differences and their sampling variances (:func:`diff_stats`) as arrays."""
-    stats = [diff_stats(r) for r in history]
-    return np.array([s[0] for s in stats]), np.array([s[1] for s in stats])
+    """Per-domain differences and their sampling variances (:func:`_diffs`) of records."""
+    return _diffs(*_record_columns(history))
 
 
 def _moments(

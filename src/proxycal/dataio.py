@@ -66,14 +66,18 @@ def _read_records(path: str | Path, required: tuple[str, ...], record_type) -> l
     """One ``record_type`` per data row of a validated table.
 
     ``required`` starts with ``domain_id``; every other column is numeric and
-    the required ones are named after the record fields they fill.
+    the required ones are named after the record fields they fill. Blank lines
+    are skipped, and a row is named by its line number in the file.
     """
     path = Path(path)
     with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        header = reader.fieldnames
+        reader = csv.reader(fh)
+        header = next(reader, None)
         if header is None:
             raise SchemaError(f"{path}: file is empty")
+        repeated = sorted({c for c in header if header.count(c) > 1})
+        if repeated:
+            raise SchemaError(f"{path}: repeated column name(s) in header: {', '.join(repeated)}")
         missing = [c for c in required if c not in header]
         if missing:
             raise SchemaError(f"{path}: missing required column(s): {', '.join(missing)}")
@@ -81,32 +85,37 @@ def _read_records(path: str | Path, required: tuple[str, ...], record_type) -> l
         unknown = [c for c in header if c not in known and not c.startswith("context_")]
         if unknown:
             raise SchemaError(f"{path}: unknown column(s): {', '.join(unknown)}")
-        rows = list(reader)
-    if not rows:
+        id_col = header.index("domain_id")
+        context_cols = [c for c in header if c.startswith("context_")]
+        records, seen = [], set()
+        for row in reader:
+            if not row:
+                continue
+            line = reader.line_num
+            if len(row) != len(header):
+                raise SchemaError(
+                    f"{path}: row {line}: {len(row)} field(s), but the header has {len(header)}"
+                )
+            values = {c: _parse_float(v, str(path), line, c)
+                      for c, v in zip(header, row) if c != "domain_id"}
+            context = tuple(values.pop(c) for c in context_cols) if context_cols else None
+            timestamp = values.pop("timestamp", None)
+            try:
+                record = record_type(row[id_col], **values, context=context, timestamp=timestamp)
+            except InvalidRecordError as exc:
+                raise SchemaError(f"{path}: row {line}: {exc}") from None
+            if record.domain_id in seen:
+                raise SchemaError(f"{path}: duplicate domain_id {record.domain_id!r} at row {line}")
+            seen.add(record.domain_id)
+            records.append(record)
+    if not records:
         raise SchemaError(f"{path}: no data rows")
-    context_cols = [c for c in header if c.startswith("context_")]
-    records = []
-    for i, row in enumerate(rows, start=2):
-        values = {c: _parse_float(row[c], str(path), i, c) for c in header if c != "domain_id"}
-        context = tuple(values.pop(c) for c in context_cols) if context_cols else None
-        timestamp = values.pop("timestamp", None)
-        try:
-            record = record_type(row["domain_id"], **values, context=context, timestamp=timestamp)
-        except InvalidRecordError as exc:
-            raise SchemaError(f"{path}: row {i}: {exc}") from None
-        records.append(record)
     return records
 
 
 def load_history(path: str | Path) -> list[DomainRecord]:
     """Parse and validate a history table into domain records."""
-    records = _read_records(path, HISTORY_COLUMNS, DomainRecord)
-    seen = set()
-    for i, rec in enumerate(records, start=2):
-        if rec.domain_id in seen:
-            raise SchemaError(f"{path}: duplicate domain_id {rec.domain_id!r} at row {i}")
-        seen.add(rec.domain_id)
-    return records
+    return _read_records(path, HISTORY_COLUMNS, DomainRecord)
 
 
 def load_target(path: str | Path) -> TargetRecord:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._rng import derive_seed
-from .core import DomainRecord, TargetRecord, _moments, _truncate, diff_arrays
+from .core import DomainRecord, TargetRecord, _diffs, _moments, _record_columns, _truncate
 from .intervals import (
     DEFAULT_BOOTSTRAP_DRAWS,
     _bootstrap_draws,
@@ -54,10 +54,8 @@ def _loo_endpoints(
     for alpha in alphas:
         _check_alpha(alpha)
 
-    theta = np.array([r.theta_hat for r in history])
-    var_primary = np.array([r.var_primary for r in history])
-    theta_star = np.array([r.theta_star_hat for r in history])
-    var_proxy = np.array([r.var_proxy for r in history])
+    columns = _record_columns(history)
+    theta, theta_star, var_primary, var_proxy, _ = columns
     z = np.array([normal_quantile(1.0 - alpha / 2.0) for alpha in alphas])
     primary = _wald_endpoints(z, theta, var_primary)
     if (_mean_width(*primary) == 0.0).any():
@@ -66,7 +64,7 @@ def _loo_endpoints(
             "to widen theta_hat (degenerate variances)"
         )
 
-    d, dv = diff_arrays(history)
+    d, dv = _diffs(*columns)
     if method == "unadjusted":
         proxy = _wald_endpoints(z, theta_star, var_proxy)
     elif method == "plugin":

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._rng import derive_seed, substream
-from .core import DomainRecord, TargetRecord, fit_mom
+from .core import TargetRecord, _bias_model, _diffs
 from .intervals import bootstrap_interval, plugin_interval, wald_interval
 
 ESTIMATORS = ("primary_only", "proxy_only", "ppi", "ppi_weighted")
@@ -109,7 +109,6 @@ class DomainData:
     primary: np.ndarray
     proxy: np.ndarray
     mean: np.ndarray
-    threshold: float
 
 
 def sample_unit_ball(p: int, rng: np.random.Generator) -> np.ndarray:
@@ -189,13 +188,7 @@ def gen_domain(cfg: SimConfig, mu, delta: float, rng: np.random.Generator) -> Do
     x = rng.standard_normal((cfg.n_per_domain, cfg.dim_p)) + mu
     probs = outcome_prob(x, delta, cfg)
     y = (rng.random(cfg.n_per_domain) < probs).astype(np.int8)
-    return DomainData(
-        covariates=x,
-        primary=y,
-        proxy=proxy_score(x, cfg),
-        mean=mu,
-        threshold=float(delta),
-    )
+    return DomainData(covariates=x, primary=y, proxy=proxy_score(x, cfg), mean=mu)
 
 
 def cov_components(domain: DomainData) -> np.ndarray:
@@ -308,7 +301,7 @@ def _domain_table(
     var_proxy, cov)`` over all K domains. Entry ``t`` is the estimator with
     domain ``t`` as target and the *other* labeled domains as sources, so the
     last entry is the target's estimate and the first K - 1 entries are the
-    history records. The rectifier terms share no units with the domain's own
+    history. The rectifier terms share no units with the domain's own
     means and contribute variance but no covariance.
     """
     if len(domains) < 2:
@@ -343,34 +336,6 @@ def _domain_table(
     if "ppi_weighted" in estimators:
         table["ppi_weighted"] = rectified(*_weighted_transport(domains))
     return theta_hat, var_primary, table
-
-
-def _history_records(
-    theta_hat: np.ndarray, var_primary: np.ndarray, view: tuple[np.ndarray, np.ndarray, np.ndarray]
-) -> list[DomainRecord]:
-    """The labeled entries of one estimator's table view as history records."""
-    theta_star, var_proxy, cov = view
-    columns = (theta_hat, theta_star, var_primary, var_proxy, cov)
-    rows = zip(*(col[:-1].tolist() for col in columns))
-    return [DomainRecord(f"d{k}", *row) for k, row in enumerate(rows)]
-
-
-def estimate_all(domains: list[DomainData], cfg: SimConfig) -> dict[str, tuple[float, float]]:
-    """(estimate, variance) for every estimator; last domain is the target."""
-    _, _, table = _domain_table(domains, ESTIMATORS)
-    return {name: (float(est[-1]), float(var[-1])) for name, (est, var, _) in table.items()}
-
-
-def build_history(domains: list[DomainData], cfg: SimConfig, estimator: str) -> list[DomainRecord]:
-    """Aggregate records for the labeled domains, matched to the estimator.
-
-    Each labeled domain is summarized as if it were the inference target of
-    the chosen estimator, built from the *other* labeled domains.
-    """
-    if estimator not in ESTIMATORS:
-        raise ValueError(f"unknown estimator {estimator!r}; choose from {ESTIMATORS}")
-    theta_hat, var_primary, table = _domain_table(domains, (estimator,))
-    return _history_records(theta_hat, var_primary, table[estimator])
 
 
 def exact_prevalence(cfg: SimConfig) -> float:
@@ -421,11 +386,13 @@ def _run_replicate(cfg: SimConfig, rep: int, truth: float) -> dict[tuple[str, st
 
     out: dict[tuple[str, str], tuple[bool, float]] = {}
     for est_name in cfg.estimators:
-        view = table[est_name]
-        value, variance = float(view[0][-1]), float(view[1][-1])
+        theta_star, var_proxy, cov = table[est_name]
+        value, variance = float(theta_star[-1]), float(var_proxy[-1])
         model = None
         if any(adj != "none" for adj in cfg.adjustments):
-            model = fit_mom(_history_records(theta_hat, var_primary, view))
+            # the first K - 1 entries are the history; the last is the target
+            history = (theta_hat, theta_star, var_primary, var_proxy, cov)
+            model = _bias_model(*_diffs(*(col[:-1] for col in history)))
         target = TargetRecord("target", theta_star_hat=value, var_proxy=variance)
         for adj in cfg.adjustments:
             if adj == "none":

@@ -98,6 +98,30 @@ class TestHistoryLoading:
             load_history(path)
         assert main(["fit", str(path), "--out", str(tmp_path / "m.txt")]) == 2
 
+    @pytest.mark.parametrize("row, fields", [("b,0.5,0.7,0.01,0.01", 5),
+                                             ("b,0.5,0.7,0.01,0.01,0.0,9", 7)])
+    def test_ragged_row_exit_2(self, tmp_path, capsys, row, fields):
+        path = history_csv(tmp_path, [THREE_ROWS[0], row, THREE_ROWS[2]])
+        assert main(["fit", str(path), "--out", str(tmp_path / "m.txt")]) == 2
+        err = capsys.readouterr().err
+        assert f"{path}: row 3: {fields} field(s), but the header has 6" in err
+
+    def test_repeated_header_name_exit_2(self, tmp_path, capsys):
+        # a second theta_hat column would otherwise win: rho -0.125, not 0.125
+        path = history_csv(tmp_path, ["a,0.5,0.6,0.01,0.01,0.0,0.8", "b,0.5,0.65,0.01,0.01,0.0,0.7"],
+                           header=HISTORY_HEADER + ",theta_hat")
+        assert main(["fit", str(path), "--out", str(tmp_path / "m.txt")]) == 2
+        assert "repeated column name(s) in header: theta_hat" in capsys.readouterr().err
+
+    def test_rows_named_by_file_line_after_blank_lines(self, tmp_path):
+        path = write(tmp_path / "h.csv", f"{HISTORY_HEADER}\n{THREE_ROWS[0]}\n\n"
+                     "b,0.5,oops,0.01,0.01,0.0\n")
+        with pytest.raises(SchemaError, match=r"h\.csv: row 4, column 'theta_star_hat'"):
+            load_history(path)
+        path = write(tmp_path / "h.csv", f"{HISTORY_HEADER}\n\n{THREE_ROWS[0]}\n\n{THREE_ROWS[0]}\n")
+        with pytest.raises(SchemaError, match="duplicate domain_id 'a' at row 5"):
+            load_history(path)
+
     def test_empty_file_and_no_rows(self, tmp_path):
         with pytest.raises(SchemaError):
             load_history(write(tmp_path / "e.csv", ""))
@@ -124,6 +148,15 @@ class TestTargetLoading:
         assert main(["adjust", "--model", str(model), "--target", str(path),
                      "--out", str(tmp_path / "i.txt")]) == 2
         assert column in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row, fields", [("target,0.5", 2), ("target,0.5,0.0004,1", 4)])
+    def test_ragged_row_exit_2(self, tmp_path, capsys, row, fields):
+        path = write(tmp_path / "t.csv", f"domain_id,theta_star_hat,var_proxy\n{row}\n")
+        model = tmp_path / "model.txt"
+        write_model(model, fit_mom([DomainRecord("d", 0.5, 0.6, 0.01, 0.01, 0.0)]))
+        assert main(["adjust", "--model", str(model), "--target", str(path),
+                     "--out", str(tmp_path / "i.txt")]) == 2
+        assert f"{path}: row 2: {fields} field(s), but the header has 3" in capsys.readouterr().err
 
     def test_multiple_rows_rejected(self, tmp_path):
         path = write(tmp_path / "t.csv",
@@ -314,6 +347,13 @@ class TestCliFit:
         assert model.gamma2 == 0.0
         assert "insufficient_domains" in ",".join(model.warnings)
         assert "insufficient" in capsys.readouterr().err
+
+    def test_negative_zero_variances_write_positive_zero(self, tmp_path):
+        # -0.0 + -0.0 - 2 * 0.0 is -0.0; the clip at zero must not keep its sign
+        hist = history_csv(tmp_path, ["a,0.5,0.6,-0.0,-0.0,0.0", THREE_ROWS[1]])
+        out = tmp_path / "model.txt"
+        assert main(["fit", str(hist), "--out", str(out)]) == 0
+        assert "diff_vars = 0.0,0.005\n" in out.read_text()
 
     def test_missing_column_exit_2(self, tmp_path, capsys):
         bad = write(tmp_path / "h.csv", "domain_id,theta_hat\na,0.5\n")

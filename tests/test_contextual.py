@@ -14,9 +14,8 @@ from proxycal import (
     plugin_interval,
     similarity_weights,
     time_decay_weights,
-    tune_beta,
 )
-from proxycal.contextual import _weighted_loglik, beta_profile
+from proxycal.contextual import _weighted_loglik, best_beta, beta_profile
 from proxycal.core import _bias_model, diff_arrays
 
 from reference import (
@@ -178,7 +177,7 @@ def two_cluster_history():
 class TestTuneBeta:
     def test_singleton_grid(self):
         history = two_cluster_history()
-        beta, ll = tune_beta(history, (0.0,), [3.3])
+        beta, ll = best_beta(beta_profile(history, (0.0,), [3.3]))
         assert beta == 3.3
         assert math.isfinite(ll)
 
@@ -191,13 +190,13 @@ class TestTuneBeta:
         grid = default_beta_grid()
         profile = beta_profile(history, (0.0,), grid)
         assert all(math.isfinite(ll) for _, ll in profile)
-        beta, ll = tune_beta(history, (0.0,), grid)
+        beta, ll = best_beta(profile)
         assert beta in grid and math.isfinite(ll)
 
     def test_two_cluster_selects_near_cluster(self):
         history = two_cluster_history()
         grid = default_beta_grid()
-        beta, ll = tune_beta(history, (0.0,), grid)
+        beta, ll = best_beta(beta_profile(history, (0.0,), grid))
 
         # dense-grid reference evaluation of the objective
         ds = [r.theta_star_hat - r.theta_hat for r in history]
@@ -218,7 +217,7 @@ class TestTuneBeta:
     def test_flat_profile_breaks_ties_to_first(self):
         history = [rec(0.1 * i, 1e-3, f"d{i}", context=(0.5,)) for i in range(4)]
         grid = [0.1, 1.0, 10.0]
-        beta, _ = tune_beta(history, (0.5,), grid)
+        beta, _ = best_beta(beta_profile(history, (0.5,), grid))
         # identical contexts: weights uniform at every beta, objective flat
         assert beta == grid[0]
 
@@ -228,7 +227,7 @@ class TestTuneBeta:
         history = [rec(0.2, 0.0, "a", context=(0.0,)), rec(0.2, 0.0, "b", context=(0.0,))]
         profile = beta_profile(history, (0.0,), [0.5, 5.0])
         assert all(ll == -math.inf for _, ll in profile)
-        beta, ll = tune_beta(history, (0.0,), [0.5, 5.0])
+        beta, ll = best_beta(profile)
         assert beta == 0.5 and ll == -math.inf
 
     def test_underflowing_bandwidth_scored_not_raised(self):
@@ -239,11 +238,11 @@ class TestTuneBeta:
 
     def test_requires_contexts(self):
         with pytest.raises(ValueError, match="context"):
-            tune_beta([rec(0.1, 1e-3, "a"), rec(0.2, 1e-3, "b")], (0.0,), [1.0])
+            beta_profile([rec(0.1, 1e-3, "a"), rec(0.2, 1e-3, "b")], (0.0,), [1.0])
 
     def test_context_dimension_mismatch_raises(self):
         with pytest.raises(ValueError, match="context dimension mismatch"):
-            tune_beta(two_cluster_history(), (0.0, 1.0), default_beta_grid())
+            beta_profile(two_cluster_history(), (0.0, 1.0), default_beta_grid())
 
     def test_profile_equals_per_bandwidth_similarity_weights(self):
         rng = np.random.default_rng(5)
@@ -251,15 +250,25 @@ class TestTuneBeta:
             rec(float(rng.normal(0.1, 0.05)), 1e-3, f"d{i}",
                 context=tuple(float(c) for c in rng.normal(size=2)))
             for i in range(30)
-        ]
-        grid = [-1.0, *default_beta_grid(9)]
+        ] + [rec(0.1, 1e-3, "at-target", context=(0.3, -0.2))]
+        # degenerate bandwidths: nonpositive, nan, and 1e-200, whose square
+        # underflows so the at-target weight is 0/0
+        grid = [-1.0, math.nan, 1e-200, 1e-3, *default_beta_grid(9)]
         d, dv = diff_arrays(history)
-        expected = [(grid[0], -math.inf)]
-        for beta in grid[1:]:
-            w = np.asarray(similarity_weights([r.context for r in history], (0.3, -0.2), beta).weights)
-            model = _bias_model(d, dv, w)
-            expected.append((beta, _weighted_loglik(d, dv, w, model.rho, model.gamma2)))
-        assert beta_profile(history, (0.3, -0.2), grid) == expected
+        expected = []
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for beta in grid:
+                try:
+                    weights = similarity_weights([r.context for r in history], (0.3, -0.2), beta)
+                except ValueError:
+                    expected.append((beta, -math.inf))
+                    continue
+                w = np.asarray(weights.weights)
+                model = _bias_model(d, dv, w)
+                expected.append((beta, _weighted_loglik(d, dv, w, model.rho, model.gamma2)))
+            profile = beta_profile(history, (0.3, -0.2), grid)
+        assert [ll for _, ll in expected[:3]] == [-math.inf] * 3
+        assert profile == expected
 
 
 class TestContextualInterval:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from proxycal import (
     BiasModel,
@@ -11,9 +13,9 @@ from proxycal import (
     WARN_GAMMA2_TRUNCATED,
     WARN_INSUFFICIENT_DOMAINS,
     debias,
-    diff_stats,
     fit_mom,
 )
+from proxycal.core import diff_arrays
 
 from reference import mom_reference
 
@@ -23,28 +25,49 @@ def rec(d, s2, domain_id="d", theta=0.5):
     return DomainRecord(domain_id, theta, theta + d, s2 / 2, s2 / 2, 0.0)
 
 
+def one_diff(record):
+    """``(d, diff_var)`` of one record, read from :func:`diff_arrays`."""
+    d, dv = diff_arrays([record])
+    return float(d[0]), float(dv[0])
+
+
 class TestDiffStats:
     def test_perfectly_correlated_identical(self):
         r = DomainRecord("a", 0.5, 0.5, 0.01, 0.01, 0.01)
-        assert diff_stats(r) == (0.0, 0.0)
+        assert one_diff(r) == (0.0, 0.0)
 
     def test_hand_arithmetic(self):
         r = DomainRecord("a", 0.5, 0.7, 0.01, 0.02, 0.005)
-        d, dv = diff_stats(r)
+        d, dv = one_diff(r)
         assert d == pytest.approx(0.2, abs=1e-15)
         assert dv == pytest.approx(0.02, abs=1e-15)
 
     def test_zero_covariance(self):
         r = DomainRecord("a", 1.0, 1.0, 0.04, 0.09, 0.0)
-        d, dv = diff_stats(r)
+        d, dv = one_diff(r)
         assert d == 0.0
         assert dv == pytest.approx(0.13, abs=1e-15)
 
     def test_rounding_negative_clipped(self):
         # cov at the Cauchy-Schwarz boundary: diff_var mathematically 0
         r = DomainRecord("a", 0.0, 0.1, 0.02, 0.02, 0.02)
-        _, dv = diff_stats(r)
+        _, dv = one_diff(r)
         assert dv == 0.0
+
+    @given(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3),
+                              st.floats(0.0, 1e3), st.floats(0.0, 1e3), st.floats(-1.0, 1.0)),
+                    min_size=1, max_size=20))
+    # -0.0 + -0.0 - 2 * 0.0 is -0.0, which max(0.0, x) turns into +0.0
+    @example([(0.5, 0.6, -0.0, -0.0, 0.0)])
+    def test_columns_equal_record_by_record_formula(self, rows):
+        # cov scaled into the Cauchy-Schwarz bound, down to exact zeros
+        records = [DomainRecord(f"d{k}", th, ts, vp, vx, c * math.sqrt(vp * vx) * (1 - 1e-9))
+                   for k, (th, ts, vp, vx, c) in enumerate(rows)]
+        d, dv = diff_arrays(records)
+        for r, dk, dvk in zip(records, d.tolist(), dv.tolist()):
+            assert dk == r.theta_star_hat - r.theta_hat
+            expected = max(0.0, r.var_primary + r.var_proxy - 2.0 * r.cov_primary_proxy)
+            assert (dvk, math.copysign(1.0, dvk)) == (expected, math.copysign(1.0, expected))
 
 
 class TestRecordValidation:
@@ -80,6 +103,18 @@ class TestRecordValidation:
     def test_context_normalized_to_tuple(self):
         r = DomainRecord("a", 0.0, 0.0, 0.01, 0.01, 0.0, context=[1, 2])
         assert r.context == (1.0, 2.0)
+
+    @pytest.mark.parametrize("context, timestamp, field", [
+        ((0.5, math.nan), None, r"context\[1\]"),
+        ((-math.inf,), 1.0, r"context\[0\]"),
+        ((0.5,), math.inf, "timestamp"),
+        (None, math.nan, "timestamp"),
+    ])
+    def test_non_finite_context_or_timestamp_named(self, context, timestamp, field):
+        with pytest.raises(InvalidRecordError, match=rf"^dom-7: {field} must be finite"):
+            DomainRecord("dom-7", 0.5, 0.6, 0.01, 0.01, 0.0, context=context, timestamp=timestamp)
+        with pytest.raises(InvalidRecordError, match=rf"^dom-7: {field} must be finite"):
+            TargetRecord("dom-7", 0.6, 0.01, context=context, timestamp=timestamp)
 
 
 class TestFitMom:

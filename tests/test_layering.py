@@ -75,6 +75,22 @@ def test_only_named_modules_import_simulation():
     assert importers == SIMULATION_IMPORTERS
 
 
+def constructed_names(module: str) -> set[str]:
+    """Names that ``module`` calls directly, as ``f(...)`` or ``x.f(...)``."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    return {
+        node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+    }
+
+
+def test_only_core_and_dataio_construct_domain_records():
+    # records are what the user hands in; computed statistics stay arrays
+    builders = {m for m in LAYER if "DomainRecord" in constructed_names(m)}
+    assert builders <= {"core", "dataio"}
+
+
 def test_parser_sees_every_import_form():
     imports = package_imports("cli")
     assert {"dataio", "contextual", "core", "diagnostics", "intervals", "simulation"} <= imports
@@ -97,13 +113,10 @@ PUBLIC_API = [
     "WARN_GAMMA2_TRUNCATED",
     "WARN_INSUFFICIENT_DOMAINS",
     "bootstrap_interval",
-    "build_history",
     "contextual_interval",
     "cov_components",
     "debias",
     "default_beta_grid",
-    "diff_stats",
-    "estimate_all",
     "exact_prevalence",
     "fit_mom",
     "fit_weighted_mom",
@@ -118,7 +131,6 @@ PUBLIC_API = [
     "similarity_weights",
     "threshold_count",
     "time_decay_weights",
-    "tune_beta",
     "wald_interval",
 ]
 

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from proxycal import (
+    ESTIMATORS,
     DomainRecord,
     SimConfig,
-    build_history,
     cov_components,
-    estimate_all,
     exact_prevalence,
     gen_domain,
     outcome_prob,
@@ -23,8 +22,10 @@ from proxycal import (
     threshold_count,
 )
 from proxycal import simulation
+from proxycal.core import _record_columns
 from proxycal.simulation import (
     DomainData,
+    _domain_table,
     _expit,
     _ndtr,
     _replicate_domains,
@@ -259,7 +260,7 @@ class TestWeightedTransport:
         n, k = 100_000, 25
         src = DomainData(covariates=rng.standard_normal((n, 4)),
                          primary=(rng.random(n) < 0.3).astype(np.int8),
-                         proxy=rng.random(n), mean=np.zeros(4), threshold=0.0)
+                         proxy=rng.random(n), mean=np.zeros(4))
         mu_targets = 0.5 * rng.standard_normal((k, 4))
         tracemalloc.start()
         try:
@@ -307,12 +308,12 @@ class TestGenDomain:
 class TestCovComponents:
     def test_constant_series_zero(self):
         dom = DomainData(np.zeros((4, 4)), np.ones(4, dtype=np.int8),
-                         np.full(4, 0.5), np.zeros(4), 0.0)
+                         np.full(4, 0.5), np.zeros(4))
         assert np.allclose(cov_components(dom), 0.0)
 
     def test_hand_two_point(self):
         dom = DomainData(np.zeros((2, 4)), np.array([0, 1], dtype=np.int8),
-                         np.array([0.2, 0.8]), np.zeros(4), 0.0)
+                         np.array([0.2, 0.8]), np.zeros(4))
         cov = cov_components(dom)
         assert cov == pytest.approx(np.array([[0.25, 0.15], [0.15, 0.09]]), rel=1e-12)
 
@@ -325,7 +326,6 @@ class TestCovComponents:
                 (rng.random(n) < 0.3).astype(np.int8),
                 rng.random(n) * 0.98 + 0.01,
                 np.zeros(4),
-                0.0,
             )
             cov = cov_components(dom)
             assert cov[0, 1] == cov[1, 0]
@@ -333,7 +333,7 @@ class TestCovComponents:
 
     def test_requires_two_units(self):
         dom = DomainData(np.zeros((1, 4)), np.ones(1, dtype=np.int8),
-                         np.full(1, 0.5), np.zeros(4), 0.0)
+                         np.full(1, 0.5), np.zeros(4))
         with pytest.raises(ValueError):
             cov_components(dom)
 
@@ -341,7 +341,21 @@ class TestCovComponents:
 def make_domain(y, ystar, mean, n_p=4):
     y = np.asarray(y, dtype=np.int8)
     ystar = np.asarray(ystar, dtype=float)
-    return DomainData(np.zeros((len(y), n_p)), y, ystar, np.asarray(mean, dtype=float), 0.0)
+    return DomainData(np.zeros((len(y), n_p)), y, ystar, np.asarray(mean, dtype=float))
+
+
+def target_estimates(domains):
+    """(estimate, variance) of every estimator, with the last domain as target."""
+    _, _, table = _domain_table(domains, ESTIMATORS)
+    return {name: (float(est[-1]), float(var[-1])) for name, (est, var, _) in table.items()}
+
+
+def history_columns(domains, estimator):
+    """``(5, K - 1)`` rows of the labeled domains' ``theta_hat``,
+    ``theta_star_hat``, ``var_primary``, ``var_proxy`` and ``cov_primary_proxy``."""
+    theta_hat, var_primary, table = _domain_table(domains, (estimator,))
+    theta_star, var_proxy, cov = table[estimator]
+    return np.stack([theta_hat, theta_star, var_primary, var_proxy, cov])[:, :-1]
 
 
 class TestEstimateAll:
@@ -352,7 +366,7 @@ class TestEstimateAll:
         for k in range(3):
             y = (rng.random(50) < 0.5).astype(np.int8)
             doms.append(make_domain(y, y.astype(float), rng.standard_normal(4)))
-        est = estimate_all(doms, cfg)
+        est = target_estimates(doms)
         assert est["ppi"][0] == pytest.approx(est["proxy_only"][0], abs=1e-12)
         assert est["ppi_weighted"][0] == pytest.approx(est["proxy_only"][0], abs=1e-12)
 
@@ -364,15 +378,15 @@ class TestEstimateAll:
         for k in range(3):
             x = rng.standard_normal((80, 4)) + mu
             y = (rng.random(80) < 0.3).astype(np.int8)
-            doms.append(DomainData(x, y, rng.random(80), mu.copy(), 0.0))
-        est = estimate_all(doms, cfg)
+            doms.append(DomainData(x, y, rng.random(80), mu.copy()))
+        est = target_estimates(doms)
         assert est["ppi_weighted"][0] == pytest.approx(est["ppi"][0], rel=1e-12)
 
     def test_two_point_hand_arithmetic(self):
         cfg = SimConfig(n_domains=2, n_per_domain=2, seed=0)
         source = make_domain([1, 0], [0.8, 0.2], np.zeros(4))
         target = make_domain([0, 1], [0.5, 0.5], np.zeros(4))
-        est = estimate_all([source, target], cfg)
+        est = target_estimates([source, target])
         # residuals (0.2, -0.2): rectifier 0, S_DD = 0.08, var term 0.08/2
         assert est["ppi"][0] == pytest.approx(0.5, abs=1e-15)
         assert est["ppi"][1] == pytest.approx(0.0 + 0.04, rel=1e-12)
@@ -381,12 +395,12 @@ class TestEstimateAll:
     def test_requires_two_domains(self):
         cfg = SimConfig(n_domains=2, n_per_domain=2, seed=0)
         with pytest.raises(ValueError):
-            estimate_all([make_domain([0, 1], [0.5, 0.5], np.zeros(4))], cfg)
+            target_estimates([make_domain([0, 1], [0.5, 0.5], np.zeros(4))])
 
     def test_variances_nonnegative_fuzz(self):
         for rep in range(5):
             cfg = SimConfig(n_domains=4, n_per_domain=150, kappa=1.5, seed=40 + rep)
-            est = estimate_all(_replicate_domains(cfg, 0), cfg)
+            est = target_estimates(_replicate_domains(cfg, 0))
             assert all(var >= 0.0 for _, var in est.values())
 
 
@@ -395,46 +409,47 @@ class TestBuildHistory:
         cfg = SimConfig(n_domains=6, n_per_domain=120, kappa=0.8, seed=3)
         domains = _replicate_domains(cfg, 0)
         for estimator in ("primary_only", "proxy_only", "ppi", "ppi_weighted"):
-            records = build_history(domains, cfg, estimator)
-            assert len(records) == cfg.n_domains - 1
+            columns = history_columns(domains, estimator)
+            assert columns.shape == (5, cfg.n_domains - 1)
             # record construction re-validates the covariance constraints
+            for k, row in enumerate(columns.T.tolist()):
+                DomainRecord(f"d{k}", *row)
 
     def test_primary_only_history_is_degenerate_self_proxy(self):
         cfg = SimConfig(n_domains=4, n_per_domain=60, seed=4)
         domains = _replicate_domains(cfg, 0)
-        for r in build_history(domains, cfg, "primary_only"):
-            assert r.theta_star_hat == r.theta_hat
-            d, dv = r.theta_star_hat - r.theta_hat, r.var_primary + r.var_proxy - 2 * r.cov_primary_proxy
-            assert d == 0.0 and dv == 0.0
+        theta, theta_star, var_primary, var_proxy, cov = history_columns(domains, "primary_only")
+        assert np.array_equal(theta_star, theta)
+        assert (var_primary + var_proxy - 2 * cov == 0.0).all()
 
     def test_proxy_methods_never_read_target_primary(self):
         cfg = SimConfig(n_domains=4, n_per_domain=60, seed=5)
         domains = _replicate_domains(cfg, 0)
-        poisoned = [DomainData(d.covariates, d.primary.copy(), d.proxy, d.mean, d.threshold)
+        poisoned = [DomainData(d.covariates, d.primary.copy(), d.proxy, d.mean)
                     for d in domains]
         poisoned[-1].primary = 1 - poisoned[-1].primary
-        base = estimate_all(domains, cfg)
-        pois = estimate_all(poisoned, cfg)
+        base = target_estimates(domains)
+        pois = target_estimates(poisoned)
         for name in ("proxy_only", "ppi", "ppi_weighted"):
             assert base[name] == pois[name]
         assert base["primary_only"] != pois["primary_only"]
         for estimator in ("proxy_only", "ppi", "ppi_weighted"):
-            a = build_history(domains, cfg, estimator)
-            b = build_history(poisoned, cfg, estimator)
-            assert a == b
+            a = history_columns(domains, estimator)
+            b = history_columns(poisoned, estimator)
+            assert np.array_equal(a, b)
 
     def test_rectifier_excludes_own_domain(self):
         # poisoning domain k's labels must not move its own record's proxy side
         cfg = SimConfig(n_domains=4, n_per_domain=60, seed=6)
         domains = _replicate_domains(cfg, 0)
-        poisoned = [DomainData(d.covariates, d.primary.copy(), d.proxy, d.mean, d.threshold)
+        poisoned = [DomainData(d.covariates, d.primary.copy(), d.proxy, d.mean)
                     for d in domains]
         poisoned[0].primary = 1 - poisoned[0].primary
         for estimator in ("ppi", "ppi_weighted"):
-            a = build_history(domains, cfg, estimator)[0]
-            b = build_history(poisoned, cfg, estimator)[0]
-            rect_a = a.theta_star_hat - domains[0].proxy.mean()
-            rect_b = b.theta_star_hat - domains[0].proxy.mean()
+            a = history_columns(domains, estimator)[1, 0]
+            b = history_columns(poisoned, estimator)[1, 0]
+            rect_a = a - domains[0].proxy.mean()
+            rect_b = b - domains[0].proxy.mean()
             assert rect_a == pytest.approx(rect_b, abs=1e-15)
 
 
@@ -489,15 +504,15 @@ class TestDomainTable:
         domains = _replicate_domains(cfg, 0)
         labeled = domains[:-1]
         for estimator in ("primary_only", "proxy_only", "ppi", "ppi_weighted"):
-            records = build_history(domains, cfg, estimator)
-            for k, rec in enumerate(records):
+            _, theta_star, _, var_proxy, _ = history_columns(domains, estimator)
+            for k in range(len(labeled)):
                 swapped = labeled[:k] + labeled[k + 1:] + [labeled[k]]
-                value, variance = estimate_all(swapped, cfg)[estimator]
+                value, variance = target_estimates(swapped)[estimator]
                 if estimator == "ppi_weighted":
-                    assert rec.theta_star_hat == pytest.approx(value, rel=1e-12)
-                    assert rec.var_proxy == pytest.approx(variance, rel=1e-12)
+                    assert theta_star[k] == pytest.approx(value, rel=1e-12)
+                    assert var_proxy[k] == pytest.approx(variance, rel=1e-12)
                 else:
-                    assert (rec.theta_star_hat, rec.var_proxy) == (value, variance)
+                    assert (theta_star[k], var_proxy[k]) == (value, variance)
 
     def test_records_equal_sequential_sums_at_ten_domains(self):
         # nine sources: numpy's pairwise 1-D sum would round differently here
@@ -505,8 +520,9 @@ class TestDomainTable:
         for rep in range(3):
             domains = _replicate_domains(cfg, rep)
             for estimator in ("primary_only", "proxy_only", "ppi", "ppi_weighted"):
-                assert build_history(domains, cfg, estimator) == sequential_history(
-                    domains, estimator
+                assert np.array_equal(
+                    history_columns(domains, estimator),
+                    _record_columns(sequential_history(domains, estimator)),
                 )
 
 
