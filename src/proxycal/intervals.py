@@ -171,13 +171,22 @@ class _BootWork:
     ``idx``, its resampled differences; ``dv`` holds the resampled variances.
     One set serves any number of :func:`_bootstrap_draws` calls over ``m``
     domains; every chunk overwrites whatever an earlier one left.
+
+    The three are views of one allocation. glibc raises its mmap threshold to
+    the size of a freed mapped block, so a later block of that size is reused
+    from the heap. Three separate buffers each stay below a threshold that an
+    earlier, smaller block set, yet together exceed its trim threshold (twice
+    it); whether the heap then hands them back to the system after every call,
+    and faults them in again on the next, depends on what else it holds.
     """
 
     def __init__(self, m: int, chunk: int) -> None:
         self.chunk = chunk
-        self.u = np.empty(chunk * _draw_stride(m))
-        self.idx = np.empty((chunk, m), dtype=np.intp)
-        self.dv = np.empty((chunk, m))
+        n_u, n = chunk * _draw_stride(m), chunk * m
+        block = np.empty(8 * (n_u + n) + np.dtype(np.intp).itemsize * n, dtype=np.uint8)
+        self.u = block[: 8 * n_u].view(np.float64)
+        self.dv = block[8 * n_u : 8 * (n_u + n)].view(np.float64).reshape(chunk, m)
+        self.idx = block[8 * (n_u + n) :].view(np.intp).reshape(chunk, m)
 
     @classmethod
     def for_draws(cls, m: int, draws: int) -> _BootWork:

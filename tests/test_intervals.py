@@ -300,6 +300,18 @@ class TestDomainBootstrap:
             fresh = _bootstrap_samples(d_i, dv_i, target, seed, 0, draws)
             assert reused.tobytes() == fresh.tobytes()
 
+    @pytest.mark.parametrize("m, chunk", [(1, 1), (24, 4000), (59, 2184)])
+    def test_work_set_is_disjoint_views_of_one_block(self, m, chunk):
+        work = intervals._BootWork(m, chunk)
+        views = (work.u, work.dv, work.idx)
+        assert [(v.shape, v.dtype) for v in views] == [
+            ((chunk * intervals._draw_stride(m),), np.float64),
+            ((chunk, m), np.float64),
+            ((chunk, m), np.intp),
+        ]
+        assert work.u.base is work.dv.base is work.idx.base is not None
+        assert not any(np.shares_memory(a, b) for a, b in [views[:2], views[1:], views[::2]])
+
     def test_translation_equivariance(self):
         history = history_of([(0.05, 0.001), (0.2, 0.002), (-0.1, 0.004)])
         a = bootstrap_interval(TargetRecord("t", 0.7, 0.003), fit_mom(history), 0.05,
