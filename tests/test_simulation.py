@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from proxycal import (
-    ESTIMATORS,
     DomainRecord,
+    ESTIMATORS,
     SimConfig,
     cov_components,
     exact_prevalence,
@@ -361,7 +361,6 @@ def history_columns(domains, estimator):
 class TestEstimateAll:
     def test_zero_residuals_collapse_to_proxy(self):
         rng = substream(11, 0)
-        cfg = SimConfig(n_domains=3, n_per_domain=50, seed=0)
         doms = []
         for k in range(3):
             y = (rng.random(50) < 0.5).astype(np.int8)
@@ -372,7 +371,6 @@ class TestEstimateAll:
 
     def test_equal_weights_make_weighted_match_plain(self):
         rng = substream(12, 0)
-        cfg = SimConfig(n_domains=3, n_per_domain=80, seed=0)
         mu = np.array([0.2, -0.1, 0.0, 0.4])
         doms = []
         for k in range(3):
@@ -383,7 +381,6 @@ class TestEstimateAll:
         assert est["ppi_weighted"][0] == pytest.approx(est["ppi"][0], rel=1e-12)
 
     def test_two_point_hand_arithmetic(self):
-        cfg = SimConfig(n_domains=2, n_per_domain=2, seed=0)
         source = make_domain([1, 0], [0.8, 0.2], np.zeros(4))
         target = make_domain([0, 1], [0.5, 0.5], np.zeros(4))
         est = target_estimates([source, target])
@@ -393,7 +390,6 @@ class TestEstimateAll:
         assert est["proxy_only"] == (0.5, 0.0)
 
     def test_requires_two_domains(self):
-        cfg = SimConfig(n_domains=2, n_per_domain=2, seed=0)
         with pytest.raises(ValueError):
             target_estimates([make_domain([0, 1], [0.5, 0.5], np.zeros(4))])
 
