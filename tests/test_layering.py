@@ -87,8 +87,8 @@ def constructed_names(module: str) -> set[str]:
 
 def test_only_core_and_dataio_construct_domain_records():
     # records are what the user hands in; computed statistics stay arrays
-    builders = {m for m in LAYER if "DomainRecord" in constructed_names(m)}
-    assert builders <= {"core", "dataio"}
+    constructing = {m for m in LAYER if "DomainRecord" in constructed_names(m)}
+    assert constructing <= {"core", "dataio"}
 
 
 def test_parser_sees_every_import_form():
