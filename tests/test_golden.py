@@ -56,6 +56,18 @@ estimators = ppi_weighted
 adjustments = none,plugin,bootstrap
 """
 
+# Forty replicates: numpy's pairwise mean of a cell's replicate column and a
+# one-by-one sum of the replicates round differently, so this pin tells them apart.
+SIM_MANY_CONFIG = """\
+n_domains = 5
+n_per_domain = 200
+kappa = 0.5
+replicates = 40
+seed = 13
+bootstrap_draws = 200
+workers = 2
+"""
+
 PINS = {
     "fit": "25df978e73162bed4015af18af6bfb70397f49074319d9b9eeab513f14c3e10d",
     "adjust-plugin": "b7572a11cba0f324ed5f1abbf81c5c190aaad71ecf05528b5287c8991ba863dc",
@@ -63,6 +75,7 @@ PINS = {
     "loo": "7833335caa206a520298bcc6bc309e30faeb137d9c3d0f765720419a60a8b51e",
     "tune-context": "1213154a309939bb4568cfcfc01a942ebde26e42717b4fc8995de4db9bc09b17",
     "simulate": "28502ecde25b451b50fdc7c6250bdc1cb6744d7275754dae3edc5dd9a0df21e7",
+    "simulate-many": "533c79cbc23a4619edb7e9fd26974323c6ba5d4cb94ca8733e6e392149faecaa",
     "simulate-weighted": "81ec2fbec1c0c004e822ad4004b324511c231f5fca6c33d943284d5496a280d3",
 }
 
@@ -92,8 +105,10 @@ def files(tmp_path):
     config.write_text(SIM_CONFIG)
     weighted = tmp_path / "sim_weighted.txt"
     weighted.write_text(SIM_WEIGHTED_CONFIG)
+    many = tmp_path / "sim_many.txt"
+    many.write_text(SIM_MANY_CONFIG)
     return {"history": str(history), "target": str(target), "config": str(config),
-            "weighted": str(weighted), "dir": tmp_path}
+            "weighted": str(weighted), "many": str(many), "dir": tmp_path}
 
 
 COMMANDS = {
@@ -106,6 +121,7 @@ COMMANDS = {
             "--method", "unadjusted,plugin,bootstrap", "--draws", "500", "--seed", "3"],
     "tune-context": ["tune-context", "{history}", "--target-context", TARGET_CONTEXT],
     "simulate": ["simulate", "{config}"],
+    "simulate-many": ["simulate", "{many}"],
     "simulate-weighted": ["simulate", "{weighted}"],
 }
 
