@@ -4,7 +4,8 @@ Commands: ``fit`` (moment fit from a history table), ``adjust`` (target
 interval via plug-in or domain bootstrap), ``loo`` (leave-one-out overlap and
 width table), ``simulate`` (coverage experiment from a config file) and
 ``tune-context`` (similarity bandwidth search). Exit status 0 on success, 2
-for input validation failures, 1 for internal errors.
+for input validation failures and paths that cannot be opened, 1 for internal
+errors.
 
 Each command returns its input and output paths by role (an input that was
 not given is ``None``); ``main`` then writes the run manifest, whose
@@ -249,7 +250,7 @@ def main(argv: list[str] | None = None) -> int:
         given = {role: path for role, path in inputs.items() if path is not None}
         dataio.write_manifest(args.out, args.command, params, inputs=given, outputs=outputs)
         return EXIT_OK
-    except (FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:

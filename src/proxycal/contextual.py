@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BiasModel, DomainRecord, TargetRecord, _bias_model, diff_arrays
+from .core import BiasModel, DomainRecord, TargetRecord, _bias_model, _moments, _truncate, diff_arrays
 from .intervals import ConfidenceInterval, plugin_interval
 
 # Domains below this weight are dropped from the likelihood; under the weight
@@ -71,13 +71,14 @@ def _squared_distances(
 ) -> np.ndarray:
     """Squared Euclidean distance of each history context to the target's."""
     tgt = np.asarray(target_context, dtype=float)
-    ctx = [np.asarray(c, dtype=float) for c in history_contexts]
-    for c in ctx:
-        if c.shape != tgt.shape:
+    for c in history_contexts:
+        if len(c) != len(tgt):
             raise ValueError(
-                f"context dimension mismatch: history has {c.shape[0]}, target has {tgt.shape[0]}"
+                f"context dimension mismatch: history has {len(c)}, target has {len(tgt)}"
             )
-    return np.array([float(((c - tgt) ** 2).sum()) for c in ctx])
+    diff = np.array(history_contexts, dtype=float).reshape(len(history_contexts), len(tgt)) - tgt
+    # a sum along the contiguous last axis: each distance is its own row's 1-D sum
+    return np.square(diff).sum(axis=1)
 
 
 def _kernel_weights(sq: np.ndarray, beta: float) -> np.ndarray:
@@ -130,13 +131,12 @@ def fit_weighted_mom(history: list[DomainRecord], weights: ContextWeights) -> Bi
     return _bias_model(*diff_arrays(history), np.asarray(weights.weights))
 
 
-def _history_contexts(history: list[DomainRecord]) -> list[tuple[float, ...]]:
-    ctxs = []
+def _side_field(history: list[DomainRecord], field: str) -> list:
+    """Every record's ``context`` or ``timestamp``; each record must carry it."""
     for rec in history:
-        if rec.context is None:
-            raise ValueError(f"{rec.domain_id}: context required but missing")
-        ctxs.append(rec.context)
-    return ctxs
+        if getattr(rec, field) is None:
+            raise ValueError(f"{rec.domain_id}: {field} required but missing")
+    return [getattr(rec, field) for rec in history]
 
 
 def _weighted_loglik(d: np.ndarray, dv: np.ndarray, w: np.ndarray, rho: float, gamma2: float) -> float:
@@ -163,7 +163,7 @@ def beta_profile(
         raise ValueError("beta_grid must be non-empty")
     if len(history) < 2:
         raise ValueError("bandwidth tuning requires at least 2 history records")
-    sq = _squared_distances(_history_contexts(history), target_context)
+    sq = _squared_distances(_side_field(history, "context"), target_context)
     d, dv = diff_arrays(history)
 
     profile = []
@@ -175,8 +175,8 @@ def beta_profile(
             # degenerate, not fatal
             profile.append((beta, -math.inf))
             continue
-        model = _bias_model(d, dv, w)
-        profile.append((beta, _weighted_loglik(d, dv, w, model.rho, model.gamma2)))
+        rho, gamma2_raw = _moments(d, dv, w)
+        profile.append((beta, _weighted_loglik(d, dv, w, rho, _truncate(gamma2_raw))))
     return profile
 
 
@@ -201,15 +201,10 @@ def contextual_interval(
     """Plug-in interval from the similarity-weighted (optionally time-decayed) fit."""
     if target.context is None:
         raise ValueError(f"{target.domain_id}: target context required but missing")
-    weights = similarity_weights(_history_contexts(history), target.context, beta)
+    weights = similarity_weights(_side_field(history, "context"), target.context, beta)
     if h is not None:
         if target.timestamp is None:
             raise ValueError(f"{target.domain_id}: target timestamp required for time decay")
-        times = []
-        for rec in history:
-            if rec.timestamp is None:
-                raise ValueError(f"{rec.domain_id}: timestamp required but missing")
-            times.append(rec.timestamp)
-        weights = time_decay_weights(weights, times, target.timestamp, h)
+        weights = time_decay_weights(weights, _side_field(history, "timestamp"), target.timestamp, h)
     model = fit_weighted_mom(history, weights)
     return plugin_interval(target, model, alpha)

@@ -62,6 +62,16 @@ def _parse_float(value: str, path: str, row: int, column: str) -> float:
     return number
 
 
+def _utf8_lines(path: str | Path):
+    """Lines of a text file decoded as UTF-8 whatever the locale, line endings
+    kept and a leading byte-order mark dropped; undecodable bytes name the file."""
+    with Path(path).open(newline="", encoding="utf-8-sig") as fh:
+        try:
+            yield from fh
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def _read_records(path: str | Path, required: tuple[str, ...], record_type) -> list:
     """One ``record_type`` per data row of a validated table.
 
@@ -70,44 +80,43 @@ def _read_records(path: str | Path, required: tuple[str, ...], record_type) -> l
     are skipped, and a row is named by its line number in the file.
     """
     path = Path(path)
-    with path.open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise SchemaError(f"{path}: file is empty")
-        repeated = sorted({c for c in header if header.count(c) > 1})
-        if repeated:
-            raise SchemaError(f"{path}: repeated column name(s) in header: {', '.join(repeated)}")
-        missing = [c for c in required if c not in header]
-        if missing:
-            raise SchemaError(f"{path}: missing required column(s): {', '.join(missing)}")
-        known = set(required) | {"timestamp"}
-        unknown = [c for c in header if c not in known and not c.startswith("context_")]
-        if unknown:
-            raise SchemaError(f"{path}: unknown column(s): {', '.join(unknown)}")
-        id_col = header.index("domain_id")
-        context_cols = [c for c in header if c.startswith("context_")]
-        records, seen = [], set()
-        for row in reader:
-            if not row:
-                continue
-            line = reader.line_num
-            if len(row) != len(header):
-                raise SchemaError(
-                    f"{path}: row {line}: {len(row)} field(s), but the header has {len(header)}"
-                )
-            values = {c: _parse_float(v, str(path), line, c)
-                      for c, v in zip(header, row) if c != "domain_id"}
-            context = tuple(values.pop(c) for c in context_cols) if context_cols else None
-            timestamp = values.pop("timestamp", None)
-            try:
-                record = record_type(row[id_col], **values, context=context, timestamp=timestamp)
-            except InvalidRecordError as exc:
-                raise SchemaError(f"{path}: row {line}: {exc}") from None
-            if record.domain_id in seen:
-                raise SchemaError(f"{path}: duplicate domain_id {record.domain_id!r} at row {line}")
-            seen.add(record.domain_id)
-            records.append(record)
+    reader = csv.reader(_utf8_lines(path))
+    header = next(reader, None)
+    if header is None:
+        raise SchemaError(f"{path}: file is empty")
+    repeated = sorted({c for c in header if header.count(c) > 1})
+    if repeated:
+        raise SchemaError(f"{path}: repeated column name(s) in header: {', '.join(repeated)}")
+    missing = [c for c in required if c not in header]
+    if missing:
+        raise SchemaError(f"{path}: missing required column(s): {', '.join(missing)}")
+    known = set(required) | {"timestamp"}
+    unknown = [c for c in header if c not in known and not c.startswith("context_")]
+    if unknown:
+        raise SchemaError(f"{path}: unknown column(s): {', '.join(unknown)}")
+    id_col = header.index("domain_id")
+    context_cols = [c for c in header if c.startswith("context_")]
+    records, seen = [], set()
+    for row in reader:
+        if not row:
+            continue
+        line = reader.line_num
+        if len(row) != len(header):
+            raise SchemaError(
+                f"{path}: row {line}: {len(row)} field(s), but the header has {len(header)}"
+            )
+        values = {c: _parse_float(v, str(path), line, c)
+                  for c, v in zip(header, row) if c != "domain_id"}
+        context = tuple(values.pop(c) for c in context_cols) if context_cols else None
+        timestamp = values.pop("timestamp", None)
+        try:
+            record = record_type(row[id_col], **values, context=context, timestamp=timestamp)
+        except InvalidRecordError as exc:
+            raise SchemaError(f"{path}: row {line}: {exc}") from None
+        if record.domain_id in seen:
+            raise SchemaError(f"{path}: duplicate domain_id {record.domain_id!r} at row {line}")
+        seen.add(record.domain_id)
+        records.append(record)
     if not records:
         raise SchemaError(f"{path}: no data rows")
     return records
@@ -163,7 +172,7 @@ def write_kv(path: str | Path, pairs: dict) -> list[str]:
 
 def _parse_kv(path: str | Path) -> dict[str, str]:
     pairs = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate("".join(_utf8_lines(path)).splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue

@@ -380,12 +380,13 @@ def _replicate_domains(cfg: SimConfig, rep: int) -> list[DomainData]:
     return domains
 
 
-def _run_replicate(cfg: SimConfig, rep: int, truth: float) -> dict[tuple[str, str], tuple[bool, float]]:
+def _run_replicate(cfg: SimConfig, rep: int, truth: float) -> np.ndarray:
+    """``(covered, width)`` of each estimator x adjustment cell, shape ``(E, A, 2)``."""
     domains = _replicate_domains(cfg, rep)
     theta_hat, var_primary, table = _domain_table(domains, cfg.estimators)
 
-    out: dict[tuple[str, str], tuple[bool, float]] = {}
-    for est_name in cfg.estimators:
+    out = np.empty((len(cfg.estimators), len(cfg.adjustments), 2))
+    for i, est_name in enumerate(cfg.estimators):
         theta_star, var_proxy, cov = table[est_name]
         value, variance = float(theta_star[-1]), float(var_proxy[-1])
         model = None
@@ -394,7 +395,7 @@ def _run_replicate(cfg: SimConfig, rep: int, truth: float) -> dict[tuple[str, st
             history = (theta_hat, theta_star, var_primary, var_proxy, cov)
             model = _bias_model(*_diffs(*(col[:-1] for col in history)))
         target = TargetRecord("target", theta_star_hat=value, var_proxy=variance)
-        for adj in cfg.adjustments:
+        for j, adj in enumerate(cfg.adjustments):
             if adj == "none":
                 iv = wald_interval(value, variance, cfg.alpha)
             elif adj == "plugin":
@@ -406,7 +407,7 @@ def _run_replicate(cfg: SimConfig, rep: int, truth: float) -> dict[tuple[str, st
                 iv = bootstrap_interval(
                     target, model, cfg.alpha, draws=cfg.bootstrap_draws, seed=boot_seed
                 )
-            out[(est_name, adj)] = (iv.lower <= truth <= iv.upper, iv.width)
+            out[i, j] = iv.lower <= truth <= iv.upper, iv.width
     return out
 
 
@@ -415,31 +416,18 @@ def run_experiment(cfg: SimConfig) -> list[CellResult]:
 
     Replicates are independent work units on dedicated random streams;
     results are collected by replicate index and reduced in a fixed order, so
-    the output is identical for any ``workers`` setting.
+    the output is identical for any ``workers`` setting. Each cell's means are
+    taken over its own column of replicates, numpy's pairwise 1-D mean.
     """
     truth = exact_prevalence(cfg)
     reps = range(cfg.replicates)
-    if cfg.workers == 1:
-        results = [_run_replicate(cfg, r, truth) for r in reps]
-    else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(lambda r: _run_replicate(cfg, r, truth), reps))
-
-    cells = []
-    for est_name in cfg.estimators:
-        for adj in cfg.adjustments:
-            covered = np.array([res[(est_name, adj)][0] for res in results])
-            lengths = np.array([res[(est_name, adj)][1] for res in results])
-            cells.append(
-                CellResult(
-                    kappa=cfg.kappa,
-                    n_domains=cfg.n_domains,
-                    n_per_domain=cfg.n_per_domain,
-                    estimator=est_name,
-                    adjustment=adj,
-                    coverage=float(covered.mean()),
-                    mean_length=float(lengths.mean()),
-                    replicates=cfg.replicates,
-                )
-            )
-    return cells
+    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        results = np.array(list(pool.map(lambda r: _run_replicate(cfg, r, truth), reps)))
+    return [
+        CellResult(kappa=cfg.kappa, n_domains=cfg.n_domains, n_per_domain=cfg.n_per_domain,
+                   estimator=est_name, adjustment=adj,
+                   coverage=float(results[:, i, j, 0].mean()),
+                   mean_length=float(results[:, i, j, 1].mean()), replicates=cfg.replicates)
+        for i, est_name in enumerate(cfg.estimators)
+        for j, adj in enumerate(cfg.adjustments)
+    ]

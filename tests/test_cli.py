@@ -1,13 +1,17 @@
 import dataclasses
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import proxycal
 from proxycal import (
     BiasModel,
     DomainRecord,
@@ -30,6 +34,8 @@ from proxycal.dataio import (
 )
 
 HISTORY_HEADER = "domain_id,theta_hat,theta_star_hat,var_primary,var_proxy,cov_primary_proxy"
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
 
 
 def write(path: Path, text: str) -> Path:
@@ -127,6 +133,74 @@ class TestHistoryLoading:
             load_history(write(tmp_path / "e.csv", ""))
         with pytest.raises(SchemaError):
             load_history(write(tmp_path / "h.csv", HISTORY_HEADER + "\n"))
+
+
+    def test_byte_order_mark_skipped(self, tmp_path):
+        plain = history_csv(tmp_path, THREE_ROWS)
+        marked = tmp_path / "marked.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+        assert load_history(marked) == load_history(plain)
+
+    # (theta_hat, theta_star_hat, var_primary, var_proxy, correlation, side values) per domain
+    ROW = st.tuples(FINITE, FINITE, st.floats(0.0, 1e6), st.floats(0.0, 1e6),
+                    st.floats(-1.0, 1.0), st.lists(FINITE, min_size=4, max_size=4))
+
+    @settings(max_examples=100)
+    @given(ids=st.lists(st.text("abz_-09\u00e9", min_size=1, max_size=6),
+                        min_size=1, max_size=20, unique=True),
+           rows=st.lists(ROW, min_size=20, max_size=20), n_context=st.integers(0, 3),
+           timed=st.booleans())
+    def test_written_history_reloads_equal(self, tmp_path_factory, ids, rows, n_context, timed):
+        # cov scaled into the Cauchy-Schwarz bound, down to exact zeros
+        records = [DomainRecord(i, th, ts, vp, vx, c * math.sqrt(vp * vx) * (1 - 1e-9),
+                                context=tuple(side[:n_context]) or None,
+                                timestamp=side[-1] if timed else None)
+                   for i, (th, ts, vp, vx, c, side) in zip(ids, rows)]
+        header = HISTORY_HEADER + "".join(f",context_{j}" for j in range(n_context))
+        header += ",timestamp" if timed else ""
+        lines = [header]
+        for r in records:
+            values = [r.theta_hat, r.theta_star_hat, r.var_primary, r.var_proxy,
+                      r.cov_primary_proxy, *(r.context or ()), *([r.timestamp] if timed else [])]
+            lines.append(",".join([r.domain_id, *map(repr, values)]))
+        path = tmp_path_factory.getbasetemp() / "roundtrip-history.csv"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert load_history(path) == records
+
+
+class TestInputEncoding:
+    def test_utf8_history_fits_under_ascii_locale(self, tmp_path):
+        hist = tmp_path / "history.csv"
+        hist.write_text(HISTORY_HEADER + "\nd\u00e9,0.5,0.6,0.005,0.005,0.0025\n"
+                        + "\n".join(THREE_ROWS) + "\n", encoding="utf-8")
+        src = str(Path(proxycal.__file__).resolve().parents[1])
+        env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        run = subprocess.run([sys.executable, "-m", "proxycal.cli", "fit", str(hist),
+                              "--out", str(tmp_path / "m.txt")],
+                             capture_output=True, text=True, env=env)
+        assert run.returncode == 0, run.stderr
+        assert load_model(tmp_path / "m.txt").n_domains == 4
+
+    @pytest.mark.parametrize("role", ["history", "target", "model", "config"])
+    def test_undecodable_file_exit_2_names_it(self, tmp_path, capsys, role):
+        hist = history_csv(tmp_path, THREE_ROWS)
+        model = tmp_path / "model.txt"
+        write_model(model, fit_mom(load_history(hist)))
+        paths = {"history": hist, "target": target_csv(tmp_path), "model": model,
+                 "config": write(tmp_path / "cfg.txt", SMOKE_CONFIG)}
+        bad = paths[role]
+        # a Latin-1 e-acute in the last line
+        bad.write_bytes(bad.read_bytes() + b"# caf\xe9\n")
+        argv = {
+            "history": ["fit", str(hist)],
+            "target": ["adjust", "--history", str(hist), "--target", str(paths["target"])],
+            "model": ["adjust", "--model", str(model), "--target", str(paths["target"])],
+            "config": ["simulate", str(paths["config"])],
+        }[role]
+        assert main(argv + ["--out", str(tmp_path / "out.txt")]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {bad}: not UTF-8 text: 'utf-8' codec can't decode byte 0xe9" in err
 
 
 class TestTargetLoading:
@@ -363,6 +437,10 @@ class TestCliFit:
     def test_missing_file_exit_2(self, tmp_path):
         assert main(["fit", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "m.txt")]) == 2
 
+    def test_directory_exit_2(self, tmp_path, capsys):
+        assert main(["fit", str(tmp_path), "--out", str(tmp_path / "m.txt")]) == 2
+        assert f"error: [Errno 21] Is a directory: '{tmp_path}'" in capsys.readouterr().err
+
     def test_internal_fault_exit_1(self, tmp_path, capsys, monkeypatch):
         import proxycal.cli
 
@@ -590,6 +668,10 @@ class TestCliSimulate:
             assert main(["simulate", str(cfg), "--out", str(out)]) == 0
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1] == blobs[2]
+
+    def test_directory_exit_2(self, tmp_path, capsys):
+        assert main(["simulate", str(tmp_path), "--out", str(tmp_path / "r.csv")]) == 2
+        assert f"error: [Errno 21] Is a directory: '{tmp_path}'" in capsys.readouterr().err
 
     def test_unknown_key_exit_2(self, tmp_path, capsys):
         cfg = write(tmp_path / "cfg.txt", SMOKE_CONFIG + "volume = 11\n")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given
+from hypothesis import strategies as st
 
 from proxycal import (
     ContextWeights,
@@ -15,7 +17,8 @@ from proxycal import (
     similarity_weights,
     time_decay_weights,
 )
-from proxycal.contextual import _weighted_loglik, best_beta, beta_profile
+from proxycal import contextual
+from proxycal.contextual import _squared_distances, _weighted_loglik, best_beta, beta_profile
 from proxycal.core import _bias_model, diff_arrays
 
 from reference import (
@@ -57,6 +60,17 @@ class TestSimilarityWeights:
         w = similarity_weights(contexts, target, beta=0.8)
         ref = gaussian_weights_reference(contexts, target, 0.8)
         assert w.weights == pytest.approx(ref, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1, 2, 3, 8, 9, 17, 129])
+    def test_squared_distances_equal_per_row_sums(self, p):
+        # numpy sums a row of 8 or more entries pairwise; an einsum dot product
+        # does not, and rounds differently from p = 3 on
+        rng = np.random.default_rng(p)
+        contexts = [tuple(rng.normal(size=p).tolist()) for _ in range(40)]
+        target = tuple(rng.normal(size=p).tolist())
+        tgt = np.asarray(target)
+        expected = np.array([float(((np.asarray(c) - tgt) ** 2).sum()) for c in contexts])
+        assert np.array_equal(_squared_distances(contexts, target), expected)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -271,6 +285,18 @@ class TestTuneBeta:
         assert profile == expected
 
 
+    def test_profile_builds_no_bias_model(self, monkeypatch):
+        history = two_cluster_history()
+        grid = default_beta_grid()
+        expected = beta_profile(history, (0.0,), grid)
+
+        def refuse(*args):
+            raise AssertionError("beta_profile built a BiasModel")
+
+        monkeypatch.setattr(contextual, "_bias_model", refuse)
+        assert beta_profile(history, (0.0,), grid) == expected
+
+
 class TestContextualInterval:
     def test_wide_bandwidth_equals_global_plugin(self):
         rng = np.random.default_rng(6)
@@ -331,3 +357,22 @@ def test_loglik_translation_invariance():
     base = weighted_loglik_reference(ds, dvs, ws)
     shifted = weighted_loglik_reference([d + 3.0 for d in ds], dvs, ws)
     assert shifted == pytest.approx(base, rel=1e-9)
+
+
+# (difference, var_primary, var_proxy, correlation, raw weight) per domain
+WEIGHTED_DOMAIN = st.tuples(st.floats(-1e6, 1e6), st.floats(0.0, 1e6), st.floats(0.0, 1e6),
+                            st.floats(-1.0, 1.0), st.floats(0.0, 1.0))
+
+
+@given(st.lists(WEIGHTED_DOMAIN, min_size=1, max_size=30))
+@example([(0.1, 1.0, 1.0, 0.0, 1.0), (0.1, 1.0, 1.0, 0.0, 0.0)])  # truncated, point mass
+@example([(0.0, 0.0, 0.0, 0.0, 0.5), (1e6, 0.0, 0.0, 0.0, 0.5)])  # no sampling variance
+def test_gamma2_nonnegative_and_finite(rows):
+    # cov scaled into the Cauchy-Schwarz bound, down to exact zeros
+    history = [DomainRecord(f"d{k}", 0.5, 0.5 + d, vp, vx, c * math.sqrt(vp * vx) * (1 - 1e-9))
+               for k, (d, vp, vx, c, _) in enumerate(rows)]
+    raw = np.array([row[-1] for row in rows])
+    assume(raw.sum() > 0.0)
+    weights = ContextWeights(tuple(raw / raw.sum()), beta=1.0)
+    for model in (fit_mom(history), fit_weighted_mom(history, weights)):
+        assert math.isfinite(model.gamma2) and model.gamma2 >= 0.0
