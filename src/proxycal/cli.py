@@ -4,8 +4,7 @@ Commands: ``fit`` (moment fit from a history table), ``adjust`` (target
 interval via plug-in or domain bootstrap), ``loo`` (leave-one-out overlap and
 width table), ``simulate`` (coverage experiment from a config file) and
 ``tune-context`` (similarity bandwidth search). Exit status 0 on success, 2
-for input validation failures and paths that cannot be opened, 1 for internal
-errors.
+for bad input or a path that cannot be opened, 1 for internal errors.
 
 Each command returns its input and output paths by role (an input that was
 not given is ``None``); ``main`` then writes the run manifest, whose

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BiasModel, DomainRecord, TargetRecord, _bias_model, _moments, _truncate, diff_arrays
+from .core import (BiasModel, DomainRecord, TargetRecord, _bias_model, _check_fit, _moments,
+                   _truncate, diff_arrays)
 from .intervals import ConfidenceInterval, plugin_interval
 
 # Domains below this weight are dropped from the likelihood; under the weight
@@ -176,7 +177,9 @@ def beta_profile(
             profile.append((beta, -math.inf))
             continue
         rho, gamma2_raw = _moments(d, dv, w)
-        profile.append((beta, _weighted_loglik(d, dv, w, rho, _truncate(gamma2_raw))))
+        gamma2 = _truncate(gamma2_raw)
+        _check_fit(rho, gamma2)
+        profile.append((beta, _weighted_loglik(d, dv, w, rho, gamma2)))
     return profile
 
 

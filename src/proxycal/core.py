@@ -96,6 +96,13 @@ class TargetRecord:
         _check_side_info(self)
 
 
+def _check_fit(rho: float, gamma2: float) -> None:
+    """Raise unless a fit's ``rho`` and ``gamma2`` are finite."""
+    for name, value in (("rho", rho), ("gamma2", gamma2)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class BiasModel:
     """Fitted bias distribution plus the per-domain statistics it was fit on.
@@ -116,9 +123,7 @@ class BiasModel:
     def __post_init__(self) -> None:
         if self.n_domains < 1:
             raise ValueError(f"n_domains must be >= 1, got {self.n_domains}")
-        for name in ("rho", "gamma2"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        _check_fit(self.rho, self.gamma2)
         if self.gamma2 < 0:
             raise ValueError(f"gamma2 must be >= 0, got {self.gamma2}")
         if len(self.diffs) != self.n_domains or len(self.diff_vars) != self.n_domains:

@@ -63,8 +63,7 @@ def _parse_float(value: str, path: str, row: int, column: str) -> float:
 
 
 def _utf8_lines(path: str | Path):
-    """Lines of a text file decoded as UTF-8 whatever the locale, line endings
-    kept and a leading byte-order mark dropped; undecodable bytes name the file."""
+    """Lines, endings kept, of a UTF-8 text file whatever the locale; a leading BOM is dropped."""
     with Path(path).open(newline="", encoding="utf-8-sig") as fh:
         try:
             yield from fh

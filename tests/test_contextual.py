@@ -250,6 +250,14 @@ class TestTuneBeta:
         assert profile[0][1] == -math.inf
         assert math.isfinite(profile[2][1])
 
+    @pytest.mark.parametrize("theta, message", [(1e308, "rho must be finite, got -inf"),
+                                                (1e200, "gamma2 must be finite, got inf")])
+    def test_overflowing_fit_raises(self, theta, message):
+        history = [DomainRecord("a", theta, -theta, 0.0, 0.0, 0.0, context=(0.1,)),
+                   rec(0.1, 0.0, "b", context=(0.2,)), rec(0.2, 0.02, "c", context=(0.3,))]
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ValueError, match=message):
+            beta_profile(history, (0.15,), [0.01, 1.0, 100.0])
+
     def test_requires_contexts(self):
         with pytest.raises(ValueError, match="context"):
             beta_profile([rec(0.1, 1e-3, "a"), rec(0.2, 1e-3, "b")], (0.0,), [1.0])
@@ -283,7 +291,6 @@ class TestTuneBeta:
             profile = beta_profile(history, (0.3, -0.2), grid)
         assert [ll for _, ll in expected[:3]] == [-math.inf] * 3
         assert profile == expected
-
 
     def test_profile_builds_no_bias_model(self, monkeypatch):
         history = two_cluster_history()
