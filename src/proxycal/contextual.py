@@ -70,7 +70,7 @@ def similarity_weights(
 def _squared_distances(
     history_contexts: list[tuple[float, ...]], target_context: tuple[float, ...]
 ) -> np.ndarray:
-    """Squared Euclidean distance of each history context to the target's."""
+    """Squared Euclidean distance of each history context to the target's, a row's 1-D sum."""
     tgt = np.asarray(target_context, dtype=float)
     for c in history_contexts:
         if len(c) != len(tgt):
@@ -78,7 +78,6 @@ def _squared_distances(
                 f"context dimension mismatch: history has {len(c)}, target has {len(tgt)}"
             )
     diff = np.array(history_contexts, dtype=float).reshape(len(history_contexts), len(tgt)) - tgt
-    # a sum along the contiguous last axis: each distance is its own row's 1-D sum
     return np.square(diff).sum(axis=1)
 
 

@@ -21,7 +21,7 @@ from typing import get_type_hints
 
 import numpy as np
 
-from .core import BiasModel, DomainRecord, InvalidRecordError, TargetRecord, _bias_model
+from .core import BiasModel, DomainRecord, InvalidRecordError, TargetRecord, _bias_model, _check_fit
 from .simulation import CellResult, SimConfig
 
 TOOL_VERSION = "0.1.0"
@@ -207,9 +207,7 @@ def load_model(path: str | Path) -> BiasModel:
             raise ValueError(f"diffs must be finite, got {pairs['diffs']!r}")
         if not all(math.isfinite(v) and v >= 0 for v in diff_vars):
             raise ValueError(f"diff_vars must be finite and >= 0, got {pairs['diff_vars']!r}")
-        for key in ("rho", "gamma2"):
-            if not math.isfinite(stored[key]):
-                raise ValueError(f"{key} must be finite, got {stored[key]}")
+        _check_fit(stored["rho"], stored["gamma2"])
         if not diffs:
             raise ValueError("diffs must be non-empty")
         model = _bias_model(np.array(diffs), np.array(diff_vars))

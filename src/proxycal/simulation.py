@@ -381,11 +381,10 @@ def _replicate_domains(cfg: SimConfig, rep: int) -> list[DomainData]:
 
 
 def _run_replicate(cfg: SimConfig, rep: int, truth: float) -> np.ndarray:
-    """``(covered, width)`` of each estimator x adjustment cell, shape ``(E, A, 2)``."""
     domains = _replicate_domains(cfg, rep)
     theta_hat, var_primary, table = _domain_table(domains, cfg.estimators)
 
-    out = np.empty((len(cfg.estimators), len(cfg.adjustments), 2))
+    out = np.empty((len(cfg.estimators), len(cfg.adjustments), 2))  # (covered, width) per cell
     for i, est_name in enumerate(cfg.estimators):
         theta_star, var_proxy, cov = table[est_name]
         value, variance = float(theta_star[-1]), float(var_proxy[-1])
@@ -421,8 +420,12 @@ def run_experiment(cfg: SimConfig) -> list[CellResult]:
     """
     truth = exact_prevalence(cfg)
     reps = range(cfg.replicates)
-    with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
-        results = np.array(list(pool.map(lambda r: _run_replicate(cfg, r, truth), reps)))
+    if cfg.workers == 1:
+        # not on a pool thread, whose own malloc arena (glibc) would stay resident too
+        results = np.array([_run_replicate(cfg, r, truth) for r in reps])
+    else:
+        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+            results = np.array(list(pool.map(lambda r: _run_replicate(cfg, r, truth), reps)))
     return [
         CellResult(kappa=cfg.kappa, n_domains=cfg.n_domains, n_per_domain=cfg.n_per_domain,
                    estimator=est_name, adjustment=adj,
