@@ -10,6 +10,7 @@ nothing in the manifest or outputs depends on wall-clock state.
 
 from __future__ import annotations
 
+import codecs
 import csv
 import hashlib
 import itertools
@@ -24,6 +25,7 @@ import numpy as np
 from .core import BiasModel, DomainRecord, InvalidRecordError, TargetRecord, _bias_model, _check_fit
 from .simulation import CellResult, SimConfig
 
+codecs.lookup("utf-8-sig")  # the input codec's module loads now, not amid a run's buffers
 TOOL_VERSION = "0.1.0"
 
 HISTORY_COLUMNS = (
@@ -78,7 +80,6 @@ def _read_records(path: str | Path, required: tuple[str, ...], record_type) -> l
     the required ones are named after the record fields they fill. Blank lines
     are skipped, and a row is named by its line number in the file.
     """
-    path = Path(path)
     reader = csv.reader(_utf8_lines(path))
     header = next(reader, None)
     if header is None:

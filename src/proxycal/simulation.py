@@ -415,8 +415,7 @@ def run_experiment(cfg: SimConfig) -> list[CellResult]:
 
     Replicates are independent work units on dedicated random streams;
     results are collected by replicate index and reduced in a fixed order, so
-    the output is identical for any ``workers`` setting. Each cell's means are
-    taken over its own column of replicates, numpy's pairwise 1-D mean.
+    the output is identical for any ``workers`` setting (pairwise 1-D means per cell).
     """
     truth = exact_prevalence(cfg)
     reps = range(cfg.replicates)
