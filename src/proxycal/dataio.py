@@ -10,7 +10,6 @@ nothing in the manifest or outputs depends on wall-clock state.
 
 from __future__ import annotations
 
-import codecs
 import csv
 import hashlib
 import itertools
@@ -25,7 +24,6 @@ import numpy as np
 from .core import BiasModel, DomainRecord, InvalidRecordError, TargetRecord, _bias_model, _check_fit
 from .simulation import CellResult, SimConfig
 
-codecs.lookup("utf-8-sig")  # the input codec's module loads now, not amid a run's buffers
 TOOL_VERSION = "0.1.0"
 
 HISTORY_COLUMNS = (
