@@ -36,10 +36,6 @@ _PATH_BOOT = 1
 # ``n_per_domain`` is. The block is a fixed part of the algorithm, not a knob.
 _TRANSPORT_BLOCK_BYTES = 1 << 20
 
-# Column-wise work on a C-ordered (rows, K) block views this many rows as one
-# row, so numpy's inner loop runs over _FOLD * K values instead of K.
-_FOLD = 8
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -206,32 +202,6 @@ def cov_components(domain: DomainData) -> np.ndarray:
     return np.array([[s_yy, s_ys], [s_ys, s_ss]]) / n
 
 
-def _fold(e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split a C-ordered ``(rows, K)`` block into its head, viewed as
-    ``(rows // _FOLD, _FOLD * K)``, and its last ``rows % _FOLD`` rows."""
-    g = len(e) - len(e) % _FOLD
-    return e[:g].reshape(-1, _FOLD * e.shape[1]), e[g:]
-
-
-def _column_max(e: np.ndarray) -> np.ndarray:
-    """``e.max(axis=0)`` of a C-ordered block, reduced over its folded head.
-
-    The maximum is exact in any order, so every value equals ``e.max(axis=0)``;
-    only the sign of a zero maximum can differ, as ``max(-0.0, 0.0)`` depends
-    on the order.
-    """
-    head, tail = _fold(e)
-    wide = head.max(axis=0, initial=-np.inf).reshape(_FOLD, -1)
-    return np.vstack([wide, tail]).max(axis=0)
-
-
-def _subtract_columns(e: np.ndarray, wide: np.ndarray) -> None:
-    """``e -= m`` in place over the folded head, given ``wide = np.tile(m, _FOLD)``."""
-    head, tail = _fold(e)
-    np.subtract(head, wide, out=head)
-    np.subtract(tail, wide[: e.shape[1]], out=tail)
-
-
 def _transport_block(src: DomainData, mu_targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Weighted residual mean of ``src`` transported to each target mean.
 
@@ -242,38 +212,40 @@ def _transport_block(src: DomainData, mu_targets: np.ndarray) -> tuple[np.ndarra
     block by block in row order. Returns the rectifier and its plug-in variance,
     one entry per target.
 
-    Both passes compute each block's log ratios into one reused block buffer,
-    and the residual powers into one ``(3, rows)`` buffer. The maximum is exact
-    in any order, so pass 1 walks the blocks in reverse and leaves block 0 in
-    the buffer for pass 2, which does not compute it again. A zero maximum may
-    come out with either sign, which moves no weight: ``exp(x - 0.0)`` and
-    ``exp(x + 0.0)`` are equal for every ``x``.
+    Both passes compute each block's log ratios target-major, ``(K, rows)`` with
+    one row per target mean, into one reused flat buffer, and the residual
+    powers into one ``(3, rows)`` buffer. The maximum is exact in any order, so
+    pass 1 walks the blocks in reverse and leaves block 0 in the buffer for
+    pass 2, which does not compute it again. A zero maximum may come out with
+    either sign, which moves no weight: ``exp(x - 0.0)`` and ``exp(x + 0.0)``
+    are equal for every ``x``.
     """
-    a = (mu_targets - src.mean).T
-    n, k = len(src.primary), a.shape[1]
+    a = mu_targets - src.mean
+    n, k = len(src.primary), len(a)
     rows = max(1, _TRANSPORT_BLOCK_BYTES // (8 * k))
     starts = range(0, n, rows)
-    buf = np.empty((min(rows, n), k))
-    powers = np.empty((3, len(buf)))
+    flat = np.empty(k * min(rows, n))
+    powers = np.empty((3, min(rows, n)))
     powers[0] = 1.0
 
     def log_ratios(i: int) -> np.ndarray:
-        return np.matmul(src.covariates[i : i + rows], a, out=buf[: min(rows, n - i)])
+        x = src.covariates[i : i + rows]
+        # a leading slice of the flat buffer, so a partial block is still contiguous
+        return np.matmul(a, x.T, out=flat[: k * len(x)].reshape(k, len(x)))
 
     m = np.full(k, -np.inf)
     for i in reversed(starts):
-        np.maximum(m, _column_max(log_ratios(i)), out=m)
-    wide = np.tile(m, _FOLD)
+        np.maximum(m, log_ratios(i).max(axis=1), out=m)
     s, q = np.zeros((2, 3, k))
     for i in starts:
-        e = log_ratios(i) if i else buf
-        _subtract_columns(e, wide)
+        e = log_ratios(i) if i else flat.reshape(k, -1)
+        np.subtract(e, m[:, None], out=e)
         np.exp(e, out=e)
-        p = powers[:, : len(e)]
+        p = powers[:, : e.shape[1]]
         np.subtract(src.primary[i : i + rows], src.proxy[i : i + rows], out=p[1])
         np.multiply(p[1], p[1], out=p[2])
-        s += p @ e
-        q += p @ np.multiply(e, e, out=e)
+        s += p @ e.T
+        q += p @ np.multiply(e, e, out=e).T
     delta = s[1] / s[0]
     # sum_i w_i^2 (r_i - delta)^2 with w = e / s[0], expanded into the sums above
     var = (q[2] - 2.0 * delta * q[1] + delta * delta * q[0]) / (s[0] * s[0])

@@ -75,8 +75,8 @@ PINS = {
     "loo": "7833335caa206a520298bcc6bc309e30faeb137d9c3d0f765720419a60a8b51e",
     "tune-context": "1213154a309939bb4568cfcfc01a942ebde26e42717b4fc8995de4db9bc09b17",
     "simulate": "28502ecde25b451b50fdc7c6250bdc1cb6744d7275754dae3edc5dd9a0df21e7",
-    "simulate-many": "533c79cbc23a4619edb7e9fd26974323c6ba5d4cb94ca8733e6e392149faecaa",
-    "simulate-weighted": "81ec2fbec1c0c004e822ad4004b324511c231f5fca6c33d943284d5496a280d3",
+    "simulate-many": "30e499b1fd441788fb86ef5cd0cfac442d7fabd34d2c552abf5948de2e580f63",
+    "simulate-weighted": "5c055030196bd89e0ed1c38078edfbecd64fe9fe9907282d807e0ccceffae268",
 }
 
 
