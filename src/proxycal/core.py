@@ -168,14 +168,17 @@ def _moments(
     independent fits. A 1-D weight vector ``w`` summing to one replaces the
     plain means. When ``scratch`` (an array shaped like ``d``, which may be
     ``d`` itself) is given, the squared deviations are written into it.
+    Differences beyond the float range give a non-finite result without a
+    warning, which every caller rejects.
     """
-    if w is None:
-        rho = d.mean(axis=-1)
-        dev = np.subtract(d, rho[..., None], out=scratch)
-        return rho, np.square(dev, out=dev).mean(axis=-1) - dv.mean(axis=-1)
-    rho = w @ d
-    dev = np.subtract(d, rho, out=scratch)
-    return rho, w @ np.square(dev, out=dev) - w @ dv
+    with np.errstate(over="ignore", invalid="ignore"):
+        if w is None:
+            rho = d.mean(axis=-1)
+            dev = np.subtract(d, rho[..., None], out=scratch)
+            return rho, np.square(dev, out=dev).mean(axis=-1) - dv.mean(axis=-1)
+        rho = w @ d
+        dev = np.subtract(d, rho, out=scratch)
+        return rho, w @ np.square(dev, out=dev) - w @ dv
 
 
 def _truncate(gamma2_raw):

@@ -441,6 +441,22 @@ class TestCliFit:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"Is a directory: '{tmp_path}'" in err
 
+    # differences beyond the float range: -inf, then nan deviations (1e308);
+    # finite differences whose squares overflow (1e200)
+    @pytest.mark.parametrize("big, fit_error", [("1e308", "rho must be finite, got -inf"),
+                                                ("1e200", "gamma2 must be finite, got inf")],
+                             ids=["1e308", "1e200"])
+    @pytest.mark.parametrize("command", ["fit", "loo"])
+    def test_out_of_range_history_prints_one_error_line(
+        self, tmp_path, capsys, command, big, fit_error
+    ):
+        hist = history_csv(tmp_path, [THREE_ROWS[0], f"b,{big},-{big},0.005,0.005,0.0025",
+                                      THREE_ROWS[2]])
+        assert main([command, str(hist), "--out", str(tmp_path / "out.txt")]) == 2
+        message = (fit_error if command == "fit"
+                   else f"{hist}: held-out proxy interval endpoints must be finite")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_internal_fault_exit_1(self, tmp_path, capsys, monkeypatch):
         import proxycal.cli
 
