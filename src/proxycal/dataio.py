@@ -187,12 +187,17 @@ def _parse_kv(path: str | Path) -> dict[str, str]:
 def load_model(path: str | Path) -> BiasModel:
     """The moment fit of a model file's ``diffs`` and ``diff_vars``.
 
-    The stored ``rho``, ``gamma2``, ``n_domains`` and ``warnings`` must equal
-    that refit exactly, as they do in every file :func:`write_model` writes.
+    The file holds exactly the keys :func:`write_model` writes. The stored
+    ``rho``, ``gamma2``, ``n_domains`` and ``warnings`` must equal that refit
+    exactly, as they do in every file :func:`write_model` writes.
     """
     pairs = _parse_kv(path)
     if pairs.get("format") != MODEL_FORMAT:
         raise SchemaError(f"{path}: not a {MODEL_FORMAT} file")
+    known = {"format", "rho", "gamma2", "n_domains", "warnings", "diffs", "diff_vars"}
+    unknown = sorted(set(pairs) - known)
+    if unknown:
+        raise SchemaError(f"{path}: unknown model key(s): {', '.join(unknown)}")
     try:
         stored = {
             "rho": float(pairs["rho"]),

@@ -263,6 +263,17 @@ class TestModelFile:
         assert code == 2
         assert "duplicate key 'rho'" in capsys.readouterr().err
 
+    def test_unknown_keys_exit_2_listed_sorted(self, tmp_path, capsys):
+        hist = history_csv(tmp_path, THREE_ROWS)
+        path = tmp_path / "model.txt"
+        assert main(["fit", str(hist), "--out", str(path)]) == 0
+        path.write_text(path.read_text() + "gama2 = 5\nextra key here = 1\n")
+        code = main(["adjust", "--model", str(path), "--target", str(target_csv(tmp_path)),
+                     "--out", str(tmp_path / "i.txt")])
+        assert code == 2
+        assert (f"{path}: unknown model key(s): extra key here, gama2"
+                in capsys.readouterr().err)
+
     @pytest.mark.parametrize("line", ["rho = nan", "gamma2 = nan", "gamma2 = inf",
                                       "diffs = nan,inf", "diff_vars = -1.0,nan",
                                       "diff_vars = 0.0,-1.0,0.0"])
