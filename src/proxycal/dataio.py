@@ -187,9 +187,9 @@ def _parse_kv(path: str | Path) -> dict[str, str]:
 def load_model(path: str | Path) -> BiasModel:
     """The moment fit of a model file's ``diffs`` and ``diff_vars``.
 
-    The file holds exactly the keys :func:`write_model` writes. The stored
-    ``rho``, ``gamma2``, ``n_domains`` and ``warnings`` must equal that refit
-    exactly, as they do in every file :func:`write_model` writes.
+    The file holds exactly the keys that :func:`write_model` writes, and the
+    stored ``rho``, ``gamma2``, ``n_domains`` and ``warnings`` must equal that
+    refit exactly, as they do in every file it writes.
     """
     pairs = _parse_kv(path)
     if pairs.get("format") != MODEL_FORMAT:
