@@ -223,9 +223,9 @@ def _bootstrap_samples(
     scaled = np.multiply(u[:, :m], m, out=u[:, :m])
     idx = work.idx[:n]
     np.copyto(idx, scaled, casting="unsafe")
-    np.minimum(idx, m - 1, out=idx)
-    # the indices lie in [0, m - 1] already, so "clip" changes none; unlike the
-    # default "raise", it writes straight into ``out`` instead of a buffer
+    # a uniform below 1 times m truncates into [0, m - 1]; "clip" clamps to that
+    # range all the same and, unlike the default "raise", writes straight into
+    # ``out`` instead of a buffer
     d_b = np.take(d, idx, out=work.u[: n * m].reshape(n, m), mode="clip")
     dv_b = np.take(dv, idx, out=work.dv[:n], mode="clip")
     rho_b, gamma2_b = _moments(d_b, dv_b, scratch=d_b)

@@ -9,11 +9,18 @@ their empirical coverage of the exactly enumerable target prevalence.
 
 All randomness flows through streams addressed by ``(seed, replicate, ...)``;
 the results table is bit-identical for any worker count or schedule.
+
+A replicate draws its K domain means first and then the domains' units one
+domain at a time, each into the same covariate buffer. Each domain is reduced
+to its per-domain statistics, transport included, before the next is drawn,
+so a worker holds one domain's units and one transport block whatever
+``n_domains`` is.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -99,7 +106,11 @@ class SimConfig:
 
 @dataclass
 class DomainData:
-    """One simulated domain: covariates, binary primary labels, proxy scores."""
+    """One simulated domain: covariates, binary primary labels, proxy scores.
+
+    In a replicate the covariates may be a view of a buffer that the next
+    domain's draw overwrites; a domain is reduced before that happens.
+    """
 
     covariates: np.ndarray
     primary: np.ndarray
@@ -178,10 +189,20 @@ def proxy_score(x, cfg: SimConfig):
     return table[_count(x, 0.0, p)]
 
 
-def gen_domain(cfg: SimConfig, mu, delta: float, rng: np.random.Generator) -> DomainData:
-    """Simulate one domain of ``n_per_domain`` i.i.d. units."""
+def gen_domain(
+    cfg: SimConfig, mu, delta: float, rng: np.random.Generator, *, out: np.ndarray | None = None
+) -> DomainData:
+    """Simulate one domain of ``n_per_domain`` i.i.d. units around the mean ``mu``.
+
+    With ``out``, a C-contiguous ``(n_per_domain, dim_p)`` float64 array, the
+    covariates are drawn into it and the domain's ``covariates`` is ``out``;
+    the values are the same as without it.
+    """
     mu = np.asarray(mu, dtype=float)
-    x = rng.standard_normal((cfg.n_per_domain, cfg.dim_p)) + mu
+    if mu.shape != (cfg.dim_p,):
+        raise ValueError(f"mu has shape {mu.shape}, expected ({cfg.dim_p},) for dim_p={cfg.dim_p}")
+    x = rng.standard_normal((cfg.n_per_domain, cfg.dim_p), out=out)
+    x += mu
     probs = outcome_prob(x, delta, cfg)
     y = (rng.random(cfg.n_per_domain) < probs).astype(np.int8)
     return DomainData(covariates=x, primary=y, proxy=proxy_score(x, cfg), mean=mu)
@@ -252,21 +273,16 @@ def _transport_block(src: DomainData, mu_targets: np.ndarray) -> tuple[np.ndarra
     return delta, var
 
 
-def _weighted_transport(domains: list[DomainData]) -> tuple[np.ndarray, np.ndarray]:
-    """Rectifier/variance of every labeled source toward every domain mean.
-
-    Entry ``[j, t]`` transports labeled source ``j`` to domain ``t``; the last
-    column is the actual target domain.
-    """
-    mu_all = np.stack([dom.mean for dom in domains])
-    pairs = [_transport_block(src, mu_all) for src in domains[:-1]]
-    return np.array([d for d, _ in pairs]), np.array([v for _, v in pairs])
-
-
 def _domain_table(
-    domains: list[DomainData], estimators: tuple[str, ...]
+    means: np.ndarray, domains: Iterable[DomainData], estimators: tuple[str, ...]
 ) -> tuple[np.ndarray, np.ndarray, dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]]]:
     """Every requested estimator with each domain in turn as the target.
+
+    ``means`` is the ``(K, p)`` array of domain means and ``domains`` yields the
+    K domains in the same order, the target last. One pass reduces each domain
+    to its statistics, transport to every mean in ``means`` included, and
+    keeps no reference to it, so a domain's arrays may be reused as soon as
+    the next one is requested.
 
     Returns ``(theta_hat, var_primary, table)``: the primary mean and its
     variance per domain, and for each estimator the arrays ``(theta_star,
@@ -276,17 +292,30 @@ def _domain_table(
     history. The rectifier terms share no units with the domain's own
     means and contribute variance but no covariance.
     """
-    if len(domains) < 2:
+    k = len(means)
+    if k < 2:
         raise ValueError("estimation requires at least one labeled domain plus the target")
-    labeled = domains[:-1]
-    covs = np.stack([cov_components(dom) for dom in domains])
-    theta_hat = np.array([dom.primary.mean() for dom in domains])
-    proxy_mean = np.array([dom.proxy.mean() for dom in domains])
+    covs = np.empty((k, 2, 2))
+    theta_hat, proxy_mean = np.empty((2, k))
+    # row j: labeled source j; one column for ppi, one per domain for ppi_weighted
+    resid_mean, resid_var = np.empty((2, k - 1, 1))
+    pair_delta, pair_var = np.empty((2, k - 1, k))
+    for t, dom in zip(range(k), domains, strict=True):
+        covs[t] = cov_components(dom)
+        theta_hat[t] = dom.primary.mean()
+        proxy_mean[t] = dom.proxy.mean()
+        if t == k - 1:
+            continue  # the target is no source
+        if "ppi" in estimators:
+            r = dom.primary - dom.proxy
+            resid_mean[t], resid_var[t] = r.mean(), r.var(ddof=1) / len(r)
+        if "ppi_weighted" in estimators:
+            pair_delta[t], pair_var[t] = _transport_block(dom, means)
     var_primary, var_proxy, cov = covs[:, 0, 0], covs[:, 1, 1], covs[:, 0, 1]
 
     # own[j, t]: labeled source j is domain t itself and stays out of its
     # rectifier; with one labeled domain its record has no source and no rectifier
-    own = np.eye(len(labeled), len(domains), dtype=bool)
+    own = np.eye(k - 1, k, dtype=bool)
     sources = np.maximum((~own).sum(axis=0), 1)
 
     def rectified(delta: np.ndarray, var: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -301,12 +330,9 @@ def _domain_table(
     if "proxy_only" in estimators:
         table["proxy_only"] = (proxy_mean, var_proxy, cov)
     if "ppi" in estimators:
-        resid = [dom.primary - dom.proxy for dom in labeled]
-        resid_mean = np.array([[r.mean()] for r in resid])
-        resid_var = np.array([[r.var(ddof=1) / len(r)] for r in resid])
         table["ppi"] = rectified(resid_mean, resid_var)
     if "ppi_weighted" in estimators:
-        table["ppi_weighted"] = rectified(*_weighted_transport(domains))
+        table["ppi_weighted"] = rectified(pair_delta, pair_var)
     return theta_hat, var_primary, table
 
 
@@ -341,20 +367,32 @@ class CellResult:
     replicates: int
 
 
-def _replicate_domains(cfg: SimConfig, rep: int) -> list[DomainData]:
-    """Generate the K domains of one replicate from its dedicated stream."""
+def _replicate_domains(
+    cfg: SimConfig, rep: int, *, out: np.ndarray | None = None
+) -> tuple[np.ndarray, Iterator[DomainData]]:
+    """The K domain means of one replicate and its domains, from its own stream.
+
+    The means are drawn at once; the domains are drawn one at a time as the
+    returned iterator advances, target last. With ``out`` every domain's
+    covariates are drawn into that ``(n_per_domain, dim_p)`` buffer and are
+    valid only until the next domain is drawn; without it each domain owns
+    fresh arrays.
+    """
     rng = substream(cfg.seed, rep, _PATH_GEN)
     m = cfg.n_domains - 1
-    mus = [sample_unit_ball(cfg.dim_p, rng) for _ in range(m)]
-    deltas = rng.normal(0.0, cfg.kappa / math.sqrt(2.0), size=m)
-    domains = [gen_domain(cfg, mus[k], deltas[k], rng) for k in range(m)]
-    domains.append(gen_domain(cfg, np.asarray(cfg.mu_target), 0.0, rng))
-    return domains
+    means = np.empty((cfg.n_domains, cfg.dim_p))
+    for k in range(m):
+        means[k] = sample_unit_ball(cfg.dim_p, rng)
+    means[m] = cfg.mu_target
+    deltas = [*rng.normal(0.0, cfg.kappa / math.sqrt(2.0), size=m), 0.0]
+    return means, (gen_domain(cfg, mu, delta, rng, out=out) for mu, delta in zip(means, deltas))
 
 
 def _run_replicate(cfg: SimConfig, rep: int, truth: float) -> np.ndarray:
-    domains = _replicate_domains(cfg, rep)
-    theta_hat, var_primary, table = _domain_table(domains, cfg.estimators)
+    # one covariate buffer per call, so each worker thread draws into its own
+    covariates = np.empty((cfg.n_per_domain, cfg.dim_p))
+    means, domains = _replicate_domains(cfg, rep, out=covariates)
+    theta_hat, var_primary, table = _domain_table(means, domains, cfg.estimators)
 
     out = np.empty((len(cfg.estimators), len(cfg.adjustments), 2))  # (covered, width) per cell
     for i, est_name in enumerate(cfg.estimators):

@@ -237,6 +237,29 @@ class TestDomainBootstrap:
         )
         assert np.array_equal(full, pieces)
 
+    @pytest.mark.parametrize("m", [1, 3, 5, 1000])
+    def test_top_uniform_resamples_the_last_domain(self, monkeypatch, m):
+        # the largest double below 1 times m still truncates to m - 1; the
+        # normal's uniform stays as drawn, so the samples are finite
+        rng = np.random.default_rng(m)
+        d, dv = rng.normal(0.1, 0.2, m), rng.uniform(0.0, 0.01, m)
+        target = TargetRecord("t", 0.7, 0.003)
+        draws, stride = 64, intervals._draw_stride(m)
+        drawn = intervals.uniform_block
+
+        def top(seed, path, start, count, out=None):
+            u = drawn(seed, path, start, count, out=out)
+            u.reshape(-1, stride)[:, :m] = np.nextafter(1.0, 0.0)
+            return u
+
+        monkeypatch.setattr(intervals, "uniform_block", top)
+        work = intervals._BootWork(m, draws)
+        samples = _bootstrap_samples(d, dv, target, 5, 0, draws, work)
+        assert (work.idx == m - 1).all()
+        last = _bootstrap_samples(np.full(m, d[-1]), np.full(m, dv[-1]), target, 5, 0, draws)
+        assert np.isfinite(samples).all()
+        assert samples.tobytes() == last.tobytes()
+
     def test_chunks_bounded_by_bytes(self, monkeypatch):
         # 5,000 draws keep the one-call reference below about 200 MB
         k, draws = 1000, 5000

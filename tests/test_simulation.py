@@ -1,6 +1,7 @@
 import hashlib
 import math
 import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -28,7 +29,6 @@ from proxycal.simulation import (
     _expit,
     _ndtr,
     _replicate_domains,
-    _weighted_transport,
 )
 from proxycal._rng import substream
 
@@ -41,6 +41,17 @@ from reference import (
 )
 
 CFG = SimConfig(n_domains=5, n_per_domain=100, seed=0)
+
+
+def replicate(cfg, rep):
+    """The K domains of one replicate, each with arrays of its own."""
+    return list(_replicate_domains(cfg, rep)[1])
+
+
+def pair_transport(means, sources):
+    """``(delta, var)`` whose row j transports source j to every mean in ``means``."""
+    pairs = [simulation._transport_block(src, means) for src in sources]
+    return np.array([d for d, _ in pairs]), np.array([v for _, v in pairs])
 
 
 class TestSampleUnitBall:
@@ -196,8 +207,9 @@ class TestWeightedTransport:
     @pytest.mark.parametrize("n_domains, n_per_domain, kappa, seed", TRANSPORT_CASES)
     def test_every_pair_matches_brute_force(self, n_domains, n_per_domain, kappa, seed):
         cfg = SimConfig(n_domains=n_domains, n_per_domain=n_per_domain, kappa=kappa, seed=seed)
-        domains = _replicate_domains(cfg, 0)
-        delta, var = _weighted_transport(domains)
+        means, domains = _replicate_domains(cfg, 0)
+        domains = list(domains)
+        delta, var = pair_transport(means, domains[:-1])
         assert delta.shape == var.shape == (n_domains - 1, n_domains)
         for j, src in enumerate(domains[:-1]):
             xs, resids = src.covariates.tolist(), (src.primary - src.proxy).tolist()
@@ -223,7 +235,9 @@ class TestWeightedTransport:
         cfg = SimConfig(n_domains=25, n_per_domain=12_000, kappa=1.0, seed=0)
         rows = simulation._TRANSPORT_BLOCK_BYTES // (8 * cfg.n_domains)
         assert 2 * rows < cfg.n_per_domain < 3 * rows
-        delta, var = _weighted_transport(_replicate_domains(cfg, 0))
+        # the sources stream through one reused covariate buffer, as in a replicate
+        means, domains = _replicate_domains(cfg, 0, out=np.empty((cfg.n_per_domain, cfg.dim_p)))
+        delta, var = pair_transport(means, islice(domains, cfg.n_domains - 1))
         digest = hashlib.sha256(delta.tobytes() + var.tobytes()).hexdigest()
         assert digest == "4f8d85911c995c5fedf1aa46520501907b35f3b69394534b669aa01c24f667fb"
 
@@ -278,6 +292,22 @@ class TestGenDomain:
         bound = 3.0 / math.sqrt(cfg.n_per_domain)
         assert np.all(np.abs(dom.covariates.mean(axis=0) - mu) < bound)
 
+    # a length-1 mean would broadcast over every coordinate; a length-2 one
+    # would fail inside numpy without naming dim_p
+    @pytest.mark.parametrize("mu", [[0.5], [0.5, -0.5]])
+    def test_rejects_mean_of_wrong_length(self, mu):
+        with pytest.raises(ValueError, match=rf"mu has shape \({len(mu)},\).*dim_p=4"):
+            gen_domain(CFG, mu, 0.0, substream(9, 1))
+
+    def test_out_draws_the_same_bytes(self):
+        mu = np.array([0.3, -0.2, 0.1, 0.7])
+        fresh = gen_domain(CFG, mu, 0.4, substream(9, 2))
+        buf = np.full((CFG.n_per_domain, CFG.dim_p), np.nan)
+        drawn = gen_domain(CFG, mu, 0.4, substream(9, 2), out=buf)
+        assert drawn.covariates is buf
+        for name in ("covariates", "primary", "proxy", "mean"):
+            assert getattr(drawn, name).tobytes() == getattr(fresh, name).tobytes()
+
 
 class TestCovComponents:
     def test_constant_series_zero(self):
@@ -318,16 +348,21 @@ def make_domain(y, ystar, mean, n_p=4):
     return DomainData(np.zeros((len(y), n_p)), y, ystar, np.asarray(mean, dtype=float))
 
 
+def domain_table(domains, estimators):
+    """:func:`_domain_table` of a list of domains, their means stacked."""
+    return _domain_table(np.stack([dom.mean for dom in domains]), domains, estimators)
+
+
 def target_estimates(domains):
     """(estimate, variance) of every estimator, with the last domain as target."""
-    _, _, table = _domain_table(domains, ESTIMATORS)
+    _, _, table = domain_table(domains, ESTIMATORS)
     return {name: (float(est[-1]), float(var[-1])) for name, (est, var, _) in table.items()}
 
 
 def history_columns(domains, estimator):
     """``(5, K - 1)`` rows of the labeled domains' ``theta_hat``,
     ``theta_star_hat``, ``var_primary``, ``var_proxy`` and ``cov_primary_proxy``."""
-    theta_hat, var_primary, table = _domain_table(domains, (estimator,))
+    theta_hat, var_primary, table = domain_table(domains, (estimator,))
     theta_star, var_proxy, cov = table[estimator]
     return np.stack([theta_hat, theta_star, var_primary, var_proxy, cov])[:, :-1]
 
@@ -370,14 +405,14 @@ class TestEstimateAll:
     def test_variances_nonnegative_fuzz(self):
         for rep in range(5):
             cfg = SimConfig(n_domains=4, n_per_domain=150, kappa=1.5, seed=40 + rep)
-            est = target_estimates(_replicate_domains(cfg, 0))
+            est = target_estimates(replicate(cfg, 0))
             assert all(var >= 0.0 for _, var in est.values())
 
 
 class TestBuildHistory:
     def test_shapes_and_validity(self):
         cfg = SimConfig(n_domains=6, n_per_domain=120, kappa=0.8, seed=3)
-        domains = _replicate_domains(cfg, 0)
+        domains = replicate(cfg, 0)
         for estimator in ("primary_only", "proxy_only", "ppi", "ppi_weighted"):
             columns = history_columns(domains, estimator)
             assert columns.shape == (5, cfg.n_domains - 1)
@@ -387,14 +422,14 @@ class TestBuildHistory:
 
     def test_primary_only_history_is_degenerate_self_proxy(self):
         cfg = SimConfig(n_domains=4, n_per_domain=60, seed=4)
-        domains = _replicate_domains(cfg, 0)
+        domains = replicate(cfg, 0)
         theta, theta_star, var_primary, var_proxy, cov = history_columns(domains, "primary_only")
         assert np.array_equal(theta_star, theta)
         assert (var_primary + var_proxy - 2 * cov == 0.0).all()
 
     def test_proxy_methods_never_read_target_primary(self):
         cfg = SimConfig(n_domains=4, n_per_domain=60, seed=5)
-        domains = _replicate_domains(cfg, 0)
+        domains = replicate(cfg, 0)
         poisoned = [DomainData(d.covariates, d.primary.copy(), d.proxy, d.mean)
                     for d in domains]
         poisoned[-1].primary = 1 - poisoned[-1].primary
@@ -411,7 +446,7 @@ class TestBuildHistory:
     def test_rectifier_excludes_own_domain(self):
         # poisoning domain k's labels must not move its own record's proxy side
         cfg = SimConfig(n_domains=4, n_per_domain=60, seed=6)
-        domains = _replicate_domains(cfg, 0)
+        domains = replicate(cfg, 0)
         poisoned = [DomainData(d.covariates, d.primary.copy(), d.proxy, d.mean)
                     for d in domains]
         poisoned[0].primary = 1 - poisoned[0].primary
@@ -428,7 +463,7 @@ def sequential_history(domains, estimator):
     labeled = domains[:-1]
     m = len(labeled)
     resid = [dom.primary - dom.proxy for dom in labeled]
-    pair_delta, pair_var = _weighted_transport(domains)
+    pair_delta, pair_var = pair_transport(np.stack([dom.mean for dom in domains]), labeled)
     records = []
     for k, dom in enumerate(labeled):
         cov = cov_components(dom)
@@ -471,7 +506,7 @@ class TestDomainTable:
 
     def test_record_is_estimate_with_domain_as_target(self):
         cfg = SimConfig(n_domains=6, n_per_domain=150, kappa=1.0, seed=8)
-        domains = _replicate_domains(cfg, 0)
+        domains = replicate(cfg, 0)
         labeled = domains[:-1]
         for estimator in ("primary_only", "proxy_only", "ppi", "ppi_weighted"):
             _, theta_star, _, var_proxy, _ = history_columns(domains, estimator)
@@ -484,11 +519,54 @@ class TestDomainTable:
                 else:
                     assert (theta_star[k], var_proxy[k]) == (value, variance)
 
+    def test_streamed_replicate_equals_listed_domains(self):
+        # every domain drawn into one buffer and reduced before the next overwrites it
+        cfg = SimConfig(n_domains=7, n_per_domain=90, kappa=1.0, seed=10)
+        buf = np.full((cfg.n_per_domain, cfg.dim_p), np.nan)
+        theta_hat, var_primary, table = _domain_table(
+            *_replicate_domains(cfg, 0, out=buf), ESTIMATORS
+        )
+        ref_theta_hat, ref_var_primary, ref_table = domain_table(replicate(cfg, 0), ESTIMATORS)
+        assert theta_hat.tobytes() == ref_theta_hat.tobytes()
+        assert var_primary.tobytes() == ref_var_primary.tobytes()
+        for name in ESTIMATORS:
+            for got, ref in zip(table[name], ref_table[name]):
+                assert got.tobytes() == ref.tobytes()
+
+    def test_rejects_domain_count_unlike_means(self):
+        domains = replicate(CFG, 0)
+        means = np.stack([dom.mean for dom in domains])
+        for short, long in [(means, domains[:-1]), (means[:-1], domains)]:
+            with pytest.raises(ValueError):
+                _domain_table(short, long, ESTIMATORS)
+
+    @staticmethod
+    def replicate_peak(n_domains: int) -> int:
+        """tracemalloc's peak over one ``ppi_weighted`` x plug-in replicate at n = 20,000."""
+        cfg = SimConfig(n_domains=n_domains, n_per_domain=20_000, replicates=1, seed=0,
+                        estimators=("ppi_weighted",), adjustments=("plugin",))
+        tracemalloc.start()
+        try:
+            run_experiment(cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_memory_is_one_domain_whatever_the_domain_count(self):
+        # all 40 domains' covariates alone would take 24 MiB
+        peaks = [self.replicate_peak(k) for k in (10, 40)]
+        assert abs(peaks[1] - peaks[0]) < 2**19
+        # one domain's covariates, int8 labels and proxies, plus one transport
+        # call as bounded in TestWeightedTransport
+        n, p = 20_000, 4
+        domain = n * (8 * p + 1 + 8)
+        assert max(peaks) < domain + 1.5 * simulation._TRANSPORT_BLOCK_BYTES + 8 * np.getbufsize()
+
     def test_records_equal_sequential_sums_at_ten_domains(self):
         # nine sources: numpy's pairwise 1-D sum would round differently here
         cfg = SimConfig(n_domains=10, n_per_domain=200, kappa=1.0, seed=9)
         for rep in range(3):
-            domains = _replicate_domains(cfg, rep)
+            domains = replicate(cfg, rep)
             for estimator in ("primary_only", "proxy_only", "ppi", "ppi_weighted"):
                 assert np.array_equal(
                     history_columns(domains, estimator),
