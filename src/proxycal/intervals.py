@@ -218,8 +218,9 @@ def _bootstrap_samples(
     u = uniform_block(seed, _BOOT_PATH, start * stride, n * stride, out=work.u[: n * stride])
     u = u.reshape(n, stride)
 
-    # shift keeps the uniform strictly inside (0, 1) for the inverse CDF
-    z = _ndtri(u[:, m] + 2.0 ** -54)
+    # the shift keeps the normal's uniform above 0 for the inverse CDF; it
+    # rounds the largest uniform below 1 up to 1, so the sum is clamped below 1
+    z = _ndtri(np.minimum(u[:, m] + 2.0 ** -54, np.nextafter(1.0, 0.0)))
     scaled = np.multiply(u[:, :m], m, out=u[:, :m])
     idx = work.idx[:n]
     np.copyto(idx, scaled, casting="unsafe")

@@ -11,10 +11,12 @@ All randomness flows through streams addressed by ``(seed, replicate, ...)``;
 the results table is bit-identical for any worker count or schedule.
 
 A replicate draws its K domain means first and then the domains' units one
-domain at a time, each into the same covariate buffer. Each domain is reduced
-to its per-domain statistics, transport included, before the next is drawn,
-so a worker holds one domain's units and one transport block whatever
-``n_domains`` is.
+domain at a time, through two preallocated slots. While the calling thread
+labels domain t and reduces it to its per-domain statistics, transport
+included, a helper thread draws domain t + 1's normals and uniforms into the
+other slot. The stream is still consumed by one thread at a time in the same
+order, so the results do not depend on the overlap, and a replicate holds two
+domains' units and one transport block whatever ``n_domains`` is.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -108,8 +111,8 @@ class SimConfig:
 class DomainData:
     """One simulated domain: covariates, binary primary labels, proxy scores.
 
-    In a replicate the covariates may be a view of a buffer that the next
-    domain's draw overwrites; a domain is reduced before that happens.
+    In a replicate the arrays are a slot's buffers, which a later domain's
+    draw overwrites; a domain is reduced before that happens.
     """
 
     covariates: np.ndarray
@@ -131,16 +134,21 @@ def sample_unit_ball(p: int, rng: np.random.Generator) -> np.ndarray:
     return direction * (radius / norm)
 
 
-def _count(x, delta: float, p: int):
-    """Number of coordinates at or above ``delta``, one column at a time."""
+def _count(x, delta: float, p: int, out: np.ndarray | None = None):
+    """Number of coordinates at or above ``delta``, one column at a time.
+
+    Counts into ``out`` when given, else into the smallest unsigned type that holds ``p``.
+    """
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != p:
         raise ValueError(f"x has {x.shape[-1]} coordinates, expected p={p}")
     above = x >= delta
-    count = np.zeros(x.shape[:-1], dtype=np.intp)
+    if out is None:
+        out = np.empty(x.shape[:-1], dtype=np.min_scalar_type(p))
+    out.fill(0)
     for j in range(p):
-        count += above[..., j]
-    return count
+        out += above[..., j]
+    return out
 
 
 def threshold_count(x, delta: float, p: int):
@@ -181,12 +189,54 @@ def outcome_prob(x, delta: float, cfg: SimConfig):
     return _outcome_table(cfg)[_count(x, delta, cfg.dim_p)]
 
 
-def proxy_score(x, cfg: SimConfig):
-    """Deterministic proxy in (0, 1); always thresholds at zero, so it never drifts."""
+def _proxy_table(cfg: SimConfig) -> np.ndarray:
+    """Proxy score at each count 0..p, arctan in the centered count."""
     p = cfg.dim_p
     t = np.arange(p + 1) - p / 2.0
-    table = np.arctan(cfg.lambda2 * t + cfg.phi2) / math.pi + 0.5
-    return table[_count(x, 0.0, p)]
+    return np.arctan(cfg.lambda2 * t + cfg.phi2) / math.pi + 0.5
+
+
+def proxy_score(x, cfg: SimConfig):
+    """Deterministic proxy in (0, 1); always thresholds at zero, so it never drifts."""
+    return _proxy_table(cfg)[_count(x, 0.0, cfg.dim_p)]
+
+
+class _Slot:
+    """One domain's unit buffers: covariates, uniforms, threshold counts, labels.
+
+    A draw fills ``x`` with normals and ``u`` with uniforms. Labelling shifts
+    ``x`` by the mean, counts into ``count``, compares ``u`` into ``fired``
+    and then overwrites ``u`` with the proxies, which the labels no longer need.
+    """
+
+    def __init__(self, cfg: SimConfig, x: np.ndarray | None = None) -> None:
+        n = cfg.n_per_domain
+        self.x = np.empty((n, cfg.dim_p)) if x is None else x
+        self.u = np.empty(n)
+        self.count = np.empty(n, dtype=np.min_scalar_type(cfg.dim_p))
+        self.fired = np.empty(n, dtype=bool)
+
+
+def _draw(slot: _Slot, rng: np.random.Generator) -> None:
+    """One domain's normals, then its uniforms, into ``slot``; allocates nothing.
+
+    This is the only code that a replicate's helper thread runs.
+    """
+    rng.standard_normal(out=slot.x)
+    rng.random(out=slot.u)
+
+
+def _label(cfg: SimConfig, slot: _Slot, mu: np.ndarray, delta: float) -> DomainData:
+    """The domain drawn into ``slot``, shifted to ``mu`` and labelled at threshold ``delta``."""
+    x, p = slot.x, cfg.dim_p
+    x += mu
+    count = _count(x, delta, p, out=slot.count)
+    y = np.less(slot.u, _outcome_table(cfg)[count], out=slot.fired).view(np.int8)
+    # the proxy thresholds at zero, which counts the same as a delta of -0.0
+    if delta != 0.0:
+        _count(x, 0.0, p, out=count)
+    proxy = np.take(_proxy_table(cfg), count, out=slot.u)
+    return DomainData(covariates=x, primary=y, proxy=proxy, mean=mu)
 
 
 def gen_domain(
@@ -201,11 +251,12 @@ def gen_domain(
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (cfg.dim_p,):
         raise ValueError(f"mu has shape {mu.shape}, expected ({cfg.dim_p},) for dim_p={cfg.dim_p}")
-    x = rng.standard_normal((cfg.n_per_domain, cfg.dim_p), out=out)
-    x += mu
-    probs = outcome_prob(x, delta, cfg)
-    y = (rng.random(cfg.n_per_domain) < probs).astype(np.int8)
-    return DomainData(covariates=x, primary=y, proxy=proxy_score(x, cfg), mean=mu)
+    shape = (cfg.n_per_domain, cfg.dim_p)
+    if out is not None and out.shape != shape:
+        raise ValueError(f"out has shape {out.shape}, expected {shape}")
+    slot = _Slot(cfg, out)
+    _draw(slot, rng)
+    return _label(cfg, slot, mu, delta)
 
 
 def cov_components(domain: DomainData) -> np.ndarray:
@@ -367,32 +418,50 @@ class CellResult:
     replicates: int
 
 
-def _replicate_domains(
-    cfg: SimConfig, rep: int, *, out: np.ndarray | None = None
-) -> tuple[np.ndarray, Iterator[DomainData]]:
-    """The K domain means of one replicate and its domains, from its own stream.
-
-    The means are drawn at once; the domains are drawn one at a time as the
-    returned iterator advances, target last. With ``out`` every domain's
-    covariates are drawn into that ``(n_per_domain, dim_p)`` buffer and are
-    valid only until the next domain is drawn; without it each domain owns
-    fresh arrays.
-    """
-    rng = substream(cfg.seed, rep, _PATH_GEN)
+def _domain_means(cfg: SimConfig, rng: np.random.Generator) -> tuple[np.ndarray, list[float]]:
+    """The ``(K, p)`` domain means of one replicate and their thresholds, target last."""
     m = cfg.n_domains - 1
     means = np.empty((cfg.n_domains, cfg.dim_p))
     for k in range(m):
         means[k] = sample_unit_ball(cfg.dim_p, rng)
     means[m] = cfg.mu_target
-    deltas = [*rng.normal(0.0, cfg.kappa / math.sqrt(2.0), size=m), 0.0]
-    return means, (gen_domain(cfg, mu, delta, rng, out=out) for mu, delta in zip(means, deltas))
+    return means, [*rng.normal(0.0, cfg.kappa / math.sqrt(2.0), size=m), 0.0]
+
+
+@contextmanager
+def _replicate_domains(
+    cfg: SimConfig, rep: int
+) -> Iterator[tuple[np.ndarray, Iterator[DomainData]]]:
+    """The K domain means of one replicate and its domains, from its own stream.
+
+    The means are drawn at once. The domains come from an iterator, target
+    last, through two slots: while the caller uses domain t, a helper thread
+    draws domain t + 1's normals and uniforms into the other slot, and the
+    next step labels it on the caller's thread. The helper draws only after
+    the means and one domain at a time, so the stream is consumed in the
+    order of successive :func:`gen_domain` calls and the domains are the same.
+    A domain's arrays are valid until the next domain is requested. The
+    helper thread is joined when the block exits, also when it raises.
+    """
+    rng = substream(cfg.seed, rep, _PATH_GEN)
+    means, deltas = _domain_means(cfg, rng)
+    slots = (_Slot(cfg), _Slot(cfg))
+
+    def domains(helper: ThreadPoolExecutor) -> Iterator[DomainData]:
+        drawn = helper.submit(_draw, slots[0], rng)
+        for t, (mu, delta) in enumerate(zip(means, deltas)):
+            drawn.result()
+            if t + 1 < len(means):
+                drawn = helper.submit(_draw, slots[(t + 1) % 2], rng)
+            yield _label(cfg, slots[t % 2], mu, delta)
+
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        yield means, domains(helper)
 
 
 def _run_replicate(cfg: SimConfig, rep: int, truth: float) -> np.ndarray:
-    # one covariate buffer per call, so each worker thread draws into its own
-    covariates = np.empty((cfg.n_per_domain, cfg.dim_p))
-    means, domains = _replicate_domains(cfg, rep, out=covariates)
-    theta_hat, var_primary, table = _domain_table(means, domains, cfg.estimators)
+    with _replicate_domains(cfg, rep) as (means, domains):
+        theta_hat, var_primary, table = _domain_table(means, domains, cfg.estimators)
 
     out = np.empty((len(cfg.estimators), len(cfg.adjustments), 2))  # (covered, width) per cell
     for i, est_name in enumerate(cfg.estimators):

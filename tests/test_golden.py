@@ -13,6 +13,7 @@ which only the tests need, and must reproduce the pinned digests there.
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -131,6 +132,19 @@ def test_output_digest_pinned(files, name, capsys):
     out = files["dir"] / f"{name}.out"
     argv = [a.format(**files) for a in COMMANDS[name]] + ["--out", str(out)]
     assert main(argv) == 0, capsys.readouterr().err
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINS[name]
+
+
+# each replicate draws one domain ahead on a helper thread whatever the worker count
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("name, config", [("simulate", "config"), ("simulate-many", "many")])
+def test_simulate_pinned_at_any_worker_count(files, name, config, workers, capsys):
+    text = Path(files[config]).read_text()
+    assert re.search(r"^workers = \d+$", text, flags=re.M)
+    path = files["dir"] / f"workers{workers}.txt"
+    path.write_text(re.sub(r"^workers = \d+$", f"workers = {workers}", text, flags=re.M))
+    out = files["dir"] / f"{name}-workers{workers}.out"
+    assert main(["simulate", str(path), "--out", str(out)]) == 0, capsys.readouterr().err
     assert hashlib.sha256(out.read_bytes()).hexdigest() == PINS[name]
 
 

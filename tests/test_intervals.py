@@ -260,6 +260,24 @@ class TestDomainBootstrap:
         assert np.isfinite(samples).all()
         assert samples.tobytes() == last.tobytes()
 
+    @pytest.mark.parametrize("m", [1, 3, 1000])
+    def test_top_normal_uniform_gives_finite_samples(self, monkeypatch, m):
+        # the largest double below 1 plus the 2**-54 shift rounds to 1, whose
+        # normal quantile is inf
+        rng = np.random.default_rng(m)
+        d, dv = rng.normal(0.1, 0.2, m), rng.uniform(0.0, 0.01, m)
+        target = TargetRecord("t", 0.7, 0.003)
+        draws, stride = 64, intervals._draw_stride(m)
+        drawn = intervals.uniform_block
+
+        def top(seed, path, start, count, out=None):
+            u = drawn(seed, path, start, count, out=out)
+            u.reshape(-1, stride)[:, m] = np.nextafter(1.0, 0.0)
+            return u
+
+        monkeypatch.setattr(intervals, "uniform_block", top)
+        assert np.isfinite(_bootstrap_samples(d, dv, target, 5, 0, draws)).all()
+
     def test_chunks_bounded_by_bytes(self, monkeypatch):
         # 5,000 draws keep the one-call reference below about 200 MB
         k, draws = 1000, 5000

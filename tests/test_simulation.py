@@ -1,5 +1,12 @@
+import dataclasses
+import functools
 import hashlib
+import inspect
+import itertools
 import math
+import os
+import sys
+import threading
 import tracemalloc
 from itertools import islice
 
@@ -21,7 +28,7 @@ from proxycal import (
     sample_unit_ball,
     threshold_count,
 )
-from proxycal import simulation
+from proxycal import core, intervals, simulation
 from proxycal.core import _record_columns
 from proxycal.simulation import (
     DomainData,
@@ -44,8 +51,11 @@ CFG = SimConfig(n_domains=5, n_per_domain=100, seed=0)
 
 
 def replicate(cfg, rep):
-    """The K domains of one replicate, each with arrays of its own."""
-    return list(_replicate_domains(cfg, rep)[1])
+    """The K domains of one replicate by successive :func:`gen_domain` calls on its stream,
+    each with arrays of its own."""
+    rng = substream(cfg.seed, rep, simulation._PATH_GEN)
+    means, deltas = simulation._domain_means(cfg, rng)
+    return [gen_domain(cfg, mu, delta, rng) for mu, delta in zip(means, deltas)]
 
 
 def pair_transport(means, sources):
@@ -207,9 +217,8 @@ class TestWeightedTransport:
     @pytest.mark.parametrize("n_domains, n_per_domain, kappa, seed", TRANSPORT_CASES)
     def test_every_pair_matches_brute_force(self, n_domains, n_per_domain, kappa, seed):
         cfg = SimConfig(n_domains=n_domains, n_per_domain=n_per_domain, kappa=kappa, seed=seed)
-        means, domains = _replicate_domains(cfg, 0)
-        domains = list(domains)
-        delta, var = pair_transport(means, domains[:-1])
+        domains = replicate(cfg, 0)
+        delta, var = pair_transport(np.stack([dom.mean for dom in domains]), domains[:-1])
         assert delta.shape == var.shape == (n_domains - 1, n_domains)
         for j, src in enumerate(domains[:-1]):
             xs, resids = src.covariates.tolist(), (src.primary - src.proxy).tolist()
@@ -235,9 +244,9 @@ class TestWeightedTransport:
         cfg = SimConfig(n_domains=25, n_per_domain=12_000, kappa=1.0, seed=0)
         rows = simulation._TRANSPORT_BLOCK_BYTES // (8 * cfg.n_domains)
         assert 2 * rows < cfg.n_per_domain < 3 * rows
-        # the sources stream through one reused covariate buffer, as in a replicate
-        means, domains = _replicate_domains(cfg, 0, out=np.empty((cfg.n_per_domain, cfg.dim_p)))
-        delta, var = pair_transport(means, islice(domains, cfg.n_domains - 1))
+        # the sources stream through a replicate's two slots, drawn one ahead
+        with _replicate_domains(cfg, 0) as (means, domains):
+            delta, var = pair_transport(means, islice(domains, cfg.n_domains - 1))
         digest = hashlib.sha256(delta.tobytes() + var.tobytes()).hexdigest()
         assert digest == "4f8d85911c995c5fedf1aa46520501907b35f3b69394534b669aa01c24f667fb"
 
@@ -299,6 +308,10 @@ class TestGenDomain:
         with pytest.raises(ValueError, match=rf"mu has shape \({len(mu)},\).*dim_p=4"):
             gen_domain(CFG, mu, 0.0, substream(9, 1))
 
+    def test_rejects_out_of_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"out has shape \(99, 4\), expected \(100, 4\)"):
+            gen_domain(CFG, np.zeros(4), 0.0, substream(9, 3), out=np.empty((99, 4)))
+
     def test_out_draws_the_same_bytes(self):
         mu = np.array([0.3, -0.2, 0.1, 0.7])
         fresh = gen_domain(CFG, mu, 0.4, substream(9, 2))
@@ -307,6 +320,126 @@ class TestGenDomain:
         assert drawn.covariates is buf
         for name in ("covariates", "primary", "proxy", "mean"):
             assert getattr(drawn, name).tobytes() == getattr(fresh, name).tobytes()
+
+    # kappa = 0 draws every threshold as zero; at kappa = 1 only the target's is
+    @pytest.mark.parametrize("kappa", [0.0, 1.0])
+    def test_labels_and_proxies_equal_separate_counts(self, monkeypatch, kappa):
+        cfg = SimConfig(n_domains=6, n_per_domain=500, kappa=kappa, seed=11)
+        n, p = cfg.n_per_domain, cfg.dim_p
+        rng = substream(cfg.seed, 0, simulation._PATH_GEN)
+        means, deltas = simulation._domain_means(cfg, rng)
+        calls = []
+        counted = simulation._count
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return counted(*args, **kwargs)
+
+        # -0.0 thresholds like 0.0, so it counts once too
+        for mu, delta in [*zip(means, deltas), (means[0], -0.0)]:
+            ref = np.random.Generator(np.random.Philox())
+            ref.bit_generator.state = rng.bit_generator.state
+            calls.clear()
+            monkeypatch.setattr(simulation, "_count", counting)
+            dom = gen_domain(cfg, mu, delta, rng)
+            monkeypatch.setattr(simulation, "_count", counted)
+            assert len(calls) == (1 if delta == 0.0 else 2)
+            x = ref.standard_normal((n, p)) + mu
+            y = (ref.random(n) < outcome_prob(x, delta, cfg)).astype(np.int8)
+            assert dom.covariates.tobytes() == x.tobytes()
+            assert dom.primary.dtype == y.dtype and dom.primary.tobytes() == y.tobytes()
+            assert dom.proxy.tobytes() == proxy_score(x, cfg).tobytes()
+        assert (np.array(deltas) == 0.0).sum() == (cfg.n_domains if kappa == 0.0 else 1)
+
+
+class TestDrawAhead:
+    @pytest.mark.parametrize("kappa", [0.0, 1.0])
+    def test_domains_equal_sequential_draws(self, kappa):
+        cfg = SimConfig(n_domains=6, n_per_domain=400, kappa=kappa, seed=12)
+        for rep in range(2):
+            expected = replicate(cfg, rep)
+            with _replicate_domains(cfg, rep) as (means, domains):
+                # each domain is compared before the next is requested
+                for dom, ref in zip(domains, expected, strict=True):
+                    for name in ("covariates", "primary", "proxy", "mean"):
+                        got, want = getattr(dom, name), getattr(ref, name)
+                        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert means.tobytes() == np.stack([ref.mean for ref in expected]).tobytes()
+
+    CFG = SimConfig(n_domains=5, n_per_domain=2_000, replicates=4, seed=14,
+                    estimators=("ppi_weighted",), adjustments=("plugin",))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_thread_outlives_a_replicate(self, monkeypatch, workers):
+        cfg = dataclasses.replace(self.CFG, workers=workers)
+        before = threading.active_count()
+        run_experiment(cfg)
+        assert threading.active_count() == before
+
+        boom = RuntimeError("third transport")
+        calls = itertools.count(1)
+        transport = simulation._transport_block
+
+        def failing(src, mu_targets):
+            if next(calls) == 3:
+                raise boom
+            return transport(src, mu_targets)
+
+        # the third call fails while the helper draws the next domain
+        monkeypatch.setattr(simulation, "_transport_block", failing)
+        with pytest.raises(RuntimeError) as info:
+            run_experiment(cfg)
+        assert info.value is boom
+        assert threading.active_count() == before
+
+    def test_stress_more_workers_than_cores_with_short_switch_interval(self):
+        # a draw that overwrote a slot still in use would change the results
+        cfg = SimConfig(n_domains=6, n_per_domain=400, kappa=1.0, replicates=12,
+                        bootstrap_draws=200, seed=16)
+        expected = run_experiment(cfg)
+        results = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=lambda: results.append(
+                run_experiment(dataclasses.replace(cfg, workers=2 * (os.cpu_count() or 1) + 1))
+            ))
+            runner.start()
+            runner.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert results == [expected]
+
+    def test_public_functions_run_on_the_calling_thread(self, monkeypatch):
+        # the benchmark's tracer keeps one span stack and assumes one thread
+        modules = (simulation, intervals, core)
+        names = {module.__name__ for module in modules}
+        threads = {}
+
+        def recorded(key, fn):
+            @functools.wraps(fn)
+            def wrapper(*args, **kwargs):
+                threads.setdefault(key, set()).add(threading.get_ident())
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # every binding of a public function, in each module that imports it
+        for module in modules:
+            for name, fn in list(vars(module).items()):
+                if inspect.isfunction(fn) and not name.startswith("_") and fn.__module__ in names:
+                    monkeypatch.setattr(module, name, recorded(f"{fn.__module__}.{name}", fn))
+        monkeypatch.setattr(simulation, "_draw", recorded("_draw", simulation._draw))
+        cfg = SimConfig(n_domains=5, n_per_domain=300, kappa=1.0, replicates=2,
+                        bootstrap_draws=200, seed=15)
+        simulation.run_experiment(cfg)
+        caller = threading.get_ident()
+        helpers = threads.pop("_draw")
+        assert caller not in helpers
+        assert {key: {caller} for key in threads} == threads
+        assert {"proxycal.simulation.run_experiment", "proxycal.simulation.cov_components",
+                "proxycal.intervals.bootstrap_interval", "proxycal.intervals.plugin_interval",
+                "proxycal.intervals.wald_interval"} <= set(threads)
 
 
 class TestCovComponents:
@@ -520,12 +653,11 @@ class TestDomainTable:
                     assert (theta_star[k], var_proxy[k]) == (value, variance)
 
     def test_streamed_replicate_equals_listed_domains(self):
-        # every domain drawn into one buffer and reduced before the next overwrites it
+        # every domain drawn ahead into one of two slots and reduced before a
+        # later draw overwrites it
         cfg = SimConfig(n_domains=7, n_per_domain=90, kappa=1.0, seed=10)
-        buf = np.full((cfg.n_per_domain, cfg.dim_p), np.nan)
-        theta_hat, var_primary, table = _domain_table(
-            *_replicate_domains(cfg, 0, out=buf), ESTIMATORS
-        )
+        with _replicate_domains(cfg, 0) as (means, domains):
+            theta_hat, var_primary, table = _domain_table(means, domains, ESTIMATORS)
         ref_theta_hat, ref_var_primary, ref_table = domain_table(replicate(cfg, 0), ESTIMATORS)
         assert theta_hat.tobytes() == ref_theta_hat.tobytes()
         assert var_primary.tobytes() == ref_var_primary.tobytes()
@@ -557,10 +689,13 @@ class TestDomainTable:
         peaks = [self.replicate_peak(k) for k in (10, 40)]
         assert abs(peaks[1] - peaks[0]) < 2**19
         # one domain's covariates, int8 labels and proxies, plus one transport
-        # call as bounded in TestWeightedTransport
+        # call as bounded in TestWeightedTransport, plus the slot that the
+        # next domain is drawn into: covariates, uniforms, counts and labels
         n, p = 20_000, 4
         domain = n * (8 * p + 1 + 8)
-        assert max(peaks) < domain + 1.5 * simulation._TRANSPORT_BLOCK_BYTES + 8 * np.getbufsize()
+        slot = n * (8 * p + 8 + 1 + 1)
+        assert max(peaks) < (domain + slot + 1.5 * simulation._TRANSPORT_BLOCK_BYTES
+                             + 8 * np.getbufsize())
 
     def test_records_equal_sequential_sums_at_ten_domains(self):
         # nine sources: numpy's pairwise 1-D sum would round differently here
