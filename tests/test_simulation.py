@@ -2,13 +2,12 @@ import dataclasses
 import functools
 import hashlib
 import inspect
-import itertools
 import math
 import os
 import sys
 import threading
 import tracemalloc
-from itertools import islice
+from itertools import count, islice
 
 import numpy as np
 import pytest
@@ -353,6 +352,9 @@ class TestGenDomain:
 
 
 class TestDrawAhead:
+    CFG = SimConfig(n_domains=5, n_per_domain=2_000, replicates=4, seed=14,
+                    estimators=("ppi_weighted",), adjustments=("plugin",))
+
     @pytest.mark.parametrize("kappa", [0.0, 1.0])
     def test_domains_equal_sequential_draws(self, kappa):
         cfg = SimConfig(n_domains=6, n_per_domain=400, kappa=kappa, seed=12)
@@ -366,9 +368,6 @@ class TestDrawAhead:
                         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
             assert means.tobytes() == np.stack([ref.mean for ref in expected]).tobytes()
 
-    CFG = SimConfig(n_domains=5, n_per_domain=2_000, replicates=4, seed=14,
-                    estimators=("ppi_weighted",), adjustments=("plugin",))
-
     @pytest.mark.parametrize("workers", [1, 2])
     def test_no_thread_outlives_a_replicate(self, monkeypatch, workers):
         cfg = dataclasses.replace(self.CFG, workers=workers)
@@ -377,7 +376,7 @@ class TestDrawAhead:
         assert threading.active_count() == before
 
         boom = RuntimeError("third transport")
-        calls = itertools.count(1)
+        calls = count(1)
         transport = simulation._transport_block
 
         def failing(src, mu_targets):
