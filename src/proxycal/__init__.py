@@ -8,85 +8,71 @@ diagnostics make the calibration observable on real data, and a simulation
 harness measures coverage under covariate shift and concept drift.
 """
 
-from .contextual import (
-    ContextWeights,
-    contextual_interval,
-    default_beta_grid,
-    fit_weighted_mom,
-    similarity_weights,
-    time_decay_weights,
-)
-from .core import (
-    WARN_GAMMA2_TRUNCATED,
-    WARN_INSUFFICIENT_DOMAINS,
-    BiasModel,
-    DomainRecord,
-    InvalidRecordError,
-    TargetRecord,
-    debias,
-    fit_mom,
-)
+from importlib import import_module
+
 from .dataio import TOOL_VERSION
-from .diagnostics import loo_table
-from .intervals import (
-    DEFAULT_BOOTSTRAP_DRAWS,
-    ConfidenceInterval,
-    bootstrap_interval,
-    normal_quantile,
-    plugin_interval,
-    wald_interval,
-)
-from .simulation import (
-    ADJUSTMENTS,
-    ESTIMATORS,
-    CellResult,
-    DomainData,
-    SimConfig,
-    cov_components,
-    exact_prevalence,
-    gen_domain,
-    outcome_prob,
-    proxy_score,
-    run_experiment,
-    sample_unit_ball,
-    threshold_count,
-)
 
 __version__ = TOOL_VERSION
 
-__all__ = [
-    "ADJUSTMENTS",
-    "BiasModel",
-    "CellResult",
-    "ConfidenceInterval",
-    "ContextWeights",
-    "DEFAULT_BOOTSTRAP_DRAWS",
-    "DomainData",
-    "DomainRecord",
-    "ESTIMATORS",
-    "InvalidRecordError",
-    "SimConfig",
-    "TargetRecord",
-    "WARN_GAMMA2_TRUNCATED",
-    "WARN_INSUFFICIENT_DOMAINS",
-    "bootstrap_interval",
-    "contextual_interval",
-    "cov_components",
-    "debias",
-    "default_beta_grid",
-    "exact_prevalence",
-    "fit_mom",
-    "fit_weighted_mom",
-    "gen_domain",
-    "loo_table",
-    "normal_quantile",
-    "outcome_prob",
-    "plugin_interval",
-    "proxy_score",
-    "run_experiment",
-    "sample_unit_ball",
-    "similarity_weights",
-    "threshold_count",
-    "time_decay_weights",
-    "wald_interval",
-]
+# Each public name, by the module that defines it. A module is imported on the
+# first use of one of its names, so the plain fit and adjust paths never load
+# the simulator.
+_HOMES = {
+    "contextual": (
+        "ContextWeights",
+        "contextual_interval",
+        "default_beta_grid",
+        "fit_weighted_mom",
+        "similarity_weights",
+        "time_decay_weights",
+    ),
+    "core": (
+        "WARN_GAMMA2_TRUNCATED",
+        "WARN_INSUFFICIENT_DOMAINS",
+        "BiasModel",
+        "DomainRecord",
+        "InvalidRecordError",
+        "TargetRecord",
+        "debias",
+        "fit_mom",
+    ),
+    "diagnostics": ("loo_table",),
+    "intervals": (
+        "DEFAULT_BOOTSTRAP_DRAWS",
+        "ConfidenceInterval",
+        "bootstrap_interval",
+        "normal_quantile",
+        "plugin_interval",
+        "wald_interval",
+    ),
+    "simulation": (
+        "ADJUSTMENTS",
+        "ESTIMATORS",
+        "CellResult",
+        "DomainData",
+        "SimConfig",
+        "cov_components",
+        "exact_prevalence",
+        "gen_domain",
+        "outcome_prob",
+        "proxy_score",
+        "run_experiment",
+        "sample_unit_ball",
+        "threshold_count",
+    ),
+}
+_HOME = {name: home for home, names in _HOMES.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    # not cached in globals(), so a name always reads its defining module
+    home = _HOME.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(f".{home}", __name__), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _HOME.keys())

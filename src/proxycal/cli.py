@@ -28,7 +28,6 @@ from .contextual import (
 from .core import debias, fit_mom
 from .diagnostics import METHODS, loo_table
 from .intervals import DEFAULT_BOOTSTRAP_DRAWS, bootstrap_interval, plugin_interval
-from .simulation import run_experiment
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -148,6 +147,8 @@ def _cmd_loo(args: argparse.Namespace) -> tuple[dict, dict]:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> tuple[dict, dict]:
+    from .simulation import run_experiment  # only simulate loads the simulator
+
     cells = []
     for cfg in dataio.load_sim_configs(args.config):
         cells.extend(run_experiment(cfg))

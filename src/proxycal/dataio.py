@@ -17,12 +17,14 @@ import json
 import math
 from dataclasses import MISSING, asdict, fields
 from pathlib import Path
-from typing import get_type_hints
+from typing import TYPE_CHECKING, get_type_hints
 
 import numpy as np
 
 from .core import BiasModel, DomainRecord, InvalidRecordError, TargetRecord, _bias_model, _check_fit
-from .simulation import CellResult, SimConfig
+
+if TYPE_CHECKING:  # the simulator is imported only inside load_sim_configs
+    from .simulation import CellResult, SimConfig
 
 TOOL_VERSION = "0.1.0"
 
@@ -243,6 +245,8 @@ def load_sim_configs(path: str | Path) -> list[SimConfig]:
     order. All cells share the master seed (replicate streams are keyed per
     replicate index).
     """
+    from .simulation import SimConfig
+
     pairs = _parse_kv(path)
     defaults = {f.name: f.default for f in fields(SimConfig)}
     unknown = sorted(set(pairs) - set(defaults))

@@ -209,9 +209,9 @@ class _Slot:
     and then overwrites ``u`` with the proxies, which the labels no longer need.
     """
 
-    def __init__(self, cfg: SimConfig, x: np.ndarray | None = None) -> None:
+    def __init__(self, cfg: SimConfig) -> None:
         n = cfg.n_per_domain
-        self.x = np.empty((n, cfg.dim_p)) if x is None else x
+        self.x = np.empty((n, cfg.dim_p))
         self.u = np.empty(n)
         self.count = np.empty(n, dtype=np.min_scalar_type(cfg.dim_p))
         self.fired = np.empty(n, dtype=bool)
@@ -239,22 +239,12 @@ def _label(cfg: SimConfig, slot: _Slot, mu: np.ndarray, delta: float) -> DomainD
     return DomainData(covariates=x, primary=y, proxy=proxy, mean=mu)
 
 
-def gen_domain(
-    cfg: SimConfig, mu, delta: float, rng: np.random.Generator, *, out: np.ndarray | None = None
-) -> DomainData:
-    """Simulate one domain of ``n_per_domain`` i.i.d. units around the mean ``mu``.
-
-    With ``out``, a C-contiguous ``(n_per_domain, dim_p)`` float64 array, the
-    covariates are drawn into it and the domain's ``covariates`` is ``out``;
-    the values are the same as without it.
-    """
+def gen_domain(cfg: SimConfig, mu, delta: float, rng: np.random.Generator) -> DomainData:
+    """Simulate one domain of ``n_per_domain`` i.i.d. units around the mean ``mu``."""
     mu = np.asarray(mu, dtype=float)
     if mu.shape != (cfg.dim_p,):
         raise ValueError(f"mu has shape {mu.shape}, expected ({cfg.dim_p},) for dim_p={cfg.dim_p}")
-    shape = (cfg.n_per_domain, cfg.dim_p)
-    if out is not None and out.shape != shape:
-        raise ValueError(f"out has shape {out.shape}, expected {shape}")
-    slot = _Slot(cfg, out)
+    slot = _Slot(cfg)
     _draw(slot, rng)
     return _label(cfg, slot, mu, delta)
 

@@ -181,15 +181,62 @@ print(json.dumps(digests))
 """
 
 
-def test_outputs_pinned_without_scipy(files):
-    runs = {
-        name: [a.format(**files) for a in argv] + ["--out", str(files["dir"] / f"{name}.out")]
-        for name, argv in COMMANDS.items()
+def command_runs(files, names) -> dict[str, list[str]]:
+    """argv of each named command, writing ``<name>.out`` in the test directory."""
+    return {
+        name: [a.format(**files) for a in COMMANDS[name]] + ["--out", str(files["dir"] / f"{name}.out")]
+        for name in names
     }
-    stdout = run_python(WITHOUT_SCIPY, json.dumps(runs))
+
+
+def test_outputs_pinned_without_scipy(files):
+    stdout = run_python(WITHOUT_SCIPY, json.dumps(command_runs(files, COMMANDS)))
     assert json.loads(stdout.splitlines()[-1]) == PINS
 
 
 def test_cli_import_loads_no_scipy():
     code = "import sys, proxycal.cli; print([m for m in sys.modules if m.startswith('scipy')])"
     assert run_python(code).strip() == "[]"
+
+
+SIMULATOR = ["proxycal.simulation", "concurrent.futures"]
+
+# after each command, the modules of the simulator that are loaded
+SIMULATOR_LOADED = """\
+import json, sys
+from proxycal.cli import main
+loaded = []
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, argv
+    loaded.append([m for m in json.loads(sys.argv[2]) if m in sys.modules])
+print(json.dumps(loaded))
+"""
+
+
+def test_only_simulate_loads_the_simulator(files):
+    runs = command_runs(files, [name for name, argv in COMMANDS.items() if argv[0] != "simulate"])
+    by_model = list(runs["adjust-plugin"])
+    i = by_model.index("--history")
+    by_model[i : i + 2] = ["--model", runs["fit"][-1]]
+    by_model[-1] = str(files["dir"] / "adjust-model.out")
+    plain = [*runs.values(), by_model]
+    assert plain[0][0] == "fit"  # the model exists before adjust --model reads it
+    argv = [*plain, *command_runs(files, ["simulate"]).values()]
+    stdout = run_python(SIMULATOR_LOADED, json.dumps(argv), json.dumps(SIMULATOR))
+    assert json.loads(stdout.splitlines()[-1]) == [[]] * len(plain) + [SIMULATOR]
+
+
+def test_package_root_imports_a_module_on_first_use():
+    code = (
+        "import sys, proxycal; loaded = lambda: 'proxycal.simulation' in sys.modules; "
+        "print(loaded(), set(proxycal.__all__) <= set(dir(proxycal))); "
+        "proxycal.SimConfig; print(loaded())"
+    )
+    assert run_python(code).split() == ["False", "True", "True"]
+
+
+def test_package_root_reads_each_name_from_its_module(monkeypatch):
+    monkeypatch.setattr(proxycal.core, "fit_mom", lambda history: None)
+    assert proxycal.fit_mom is proxycal.core.fit_mom
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        proxycal.no_such_name

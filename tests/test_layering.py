@@ -2,8 +2,9 @@
 
 Layers, lowest first: ``core`` and ``_rng``; ``intervals``; ``diagnostics``,
 ``contextual`` and ``simulation``; ``dataio``; ``cli``. A module imports only
-from lower layers, and only ``cli`` imports ``simulation``. The package's
-public names are pinned as well.
+from lower layers, and only ``cli`` and ``dataio`` import ``simulation``, each
+inside the one function that runs it. The package's public names are pinned as
+well.
 """
 
 import ast
@@ -26,11 +27,10 @@ LAYER = {
     "cli": 4,
 }
 
-# dataio reads and writes simulation configs and results, so it imports the
-# simulator. The edge costs about 11 ms of start-up: any proxycal import runs
-# the package __init__, which imports every module; proxycal imports nothing
-# from scipy, so numpy is the only heavy import. ROADMAP, "Simulation config
-# I/O next to simulation", moves that I/O and removes this edge.
+# cli imports the simulator only inside _cmd_simulate, and dataio only inside
+# load_sim_configs, so the plain commands never load it. Moving the config I/O
+# into simulation would drop dataio from this set; it waits until the
+# benchmark stops calling dataio.load_sim_configs (ROADMAP direction 3).
 SIMULATION_IMPORTERS = {"cli", "dataio"}
 
 

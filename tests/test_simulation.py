@@ -307,19 +307,6 @@ class TestGenDomain:
         with pytest.raises(ValueError, match=rf"mu has shape \({len(mu)},\).*dim_p=4"):
             gen_domain(CFG, mu, 0.0, substream(9, 1))
 
-    def test_rejects_out_of_wrong_shape(self):
-        with pytest.raises(ValueError, match=r"out has shape \(99, 4\), expected \(100, 4\)"):
-            gen_domain(CFG, np.zeros(4), 0.0, substream(9, 3), out=np.empty((99, 4)))
-
-    def test_out_draws_the_same_bytes(self):
-        mu = np.array([0.3, -0.2, 0.1, 0.7])
-        fresh = gen_domain(CFG, mu, 0.4, substream(9, 2))
-        buf = np.full((CFG.n_per_domain, CFG.dim_p), np.nan)
-        drawn = gen_domain(CFG, mu, 0.4, substream(9, 2), out=buf)
-        assert drawn.covariates is buf
-        for name in ("covariates", "primary", "proxy", "mean"):
-            assert getattr(drawn, name).tobytes() == getattr(fresh, name).tobytes()
-
     # kappa = 0 draws every threshold as zero; at kappa = 1 only the target's is
     @pytest.mark.parametrize("kappa", [0.0, 1.0])
     def test_labels_and_proxies_equal_separate_counts(self, monkeypatch, kappa):
