@@ -214,13 +214,10 @@ print(json.dumps(loaded))
 
 
 def test_only_simulate_loads_the_simulator(files):
-    runs = command_runs(files, [name for name, argv in COMMANDS.items() if argv[0] != "simulate"])
-    by_model = list(runs["adjust-plugin"])
-    i = by_model.index("--history")
-    by_model[i : i + 2] = ["--model", runs["fit"][-1]]
-    by_model[-1] = str(files["dir"] / "adjust-model.out")
-    plain = [*runs.values(), by_model]
-    assert plain[0][0] == "fit"  # the model exists before adjust --model reads it
+    # fit runs first and writes the model that adjust --model reads
+    plain = [*command_runs(files, [n for n, argv in COMMANDS.items() if argv[0] != "simulate"]).values(),
+             [a.format(**files) for a in ["adjust", "--model", "{dir}/fit.out", "--target", "{target}",
+                                          "--method", "plugin", "--out", "{dir}/adjust-model.out"]]]
     argv = [*plain, *command_runs(files, ["simulate"]).values()]
     stdout = run_python(SIMULATOR_LOADED, json.dumps(argv), json.dumps(SIMULATOR))
     assert json.loads(stdout.splitlines()[-1]) == [[]] * len(plain) + [SIMULATOR]
