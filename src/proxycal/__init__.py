@@ -53,12 +53,8 @@ _HOMES = {
         "SimConfig",
         "cov_components",
         "exact_prevalence",
-        "gen_domain",
-        "outcome_prob",
-        "proxy_score",
         "run_experiment",
         "sample_unit_ball",
-        "threshold_count",
     ),
 }
 _HOME = {name: home for home, names in _HOMES.items() for name in names}

@@ -36,6 +36,13 @@ def _check_cov_block(domain_id: str, var_primary: float, var_proxy: float, cov: 
             f"{domain_id}: cov_primary_proxy^2 = {cov * cov} exceeds "
             f"var_primary * var_proxy = {var_primary * var_proxy}"
         )
+    # the scalar form of the difference variance that _diffs computes
+    diff_var = var_primary + var_proxy - 2.0 * cov
+    if not math.isfinite(diff_var):
+        raise InvalidRecordError(
+            f"{domain_id}: var_primary + var_proxy - 2 * cov_primary_proxy must be finite, "
+            f"got {diff_var}"
+        )
 
 
 def _check_finite(domain_id: str, **values: float) -> None:
@@ -144,7 +151,7 @@ def _diffs(theta_hat, theta_star_hat, var_primary, var_proxy, cov_primary_proxy)
 
     Returns ``(d, diff_var)`` with ``d = theta_star_hat - theta_hat`` and
     ``diff_var = var_primary + var_proxy - 2 * cov_primary_proxy`` over
-    whole columns. The covariance bound enforced on records guarantees
+    whole columns. The checks enforced on records guarantee a finite
     ``diff_var >= 0`` up to rounding, which is clipped away; a clipped or
     negative-zero variance comes out as ``+0.0``. A difference beyond the
     float range is ``inf``, as in scalar arithmetic, without a warning.

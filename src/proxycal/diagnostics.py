@@ -84,7 +84,7 @@ def _loo_endpoints(
                 np.delete(d, k), np.delete(dv, k), held_out, bootstrap_draws,
                 derive_seed(seed, k), work,
             )
-            q[:, k] = np.quantile(samples, levels)
+            q[:, k] = np.quantile(samples, levels, overwrite_input=True)
         proxy = q[: len(alphas)], q[len(alphas) :]
     if not np.isfinite(proxy).all():
         raise ValueError("held-out proxy interval endpoints must be finite")

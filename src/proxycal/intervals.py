@@ -257,8 +257,11 @@ def _bootstrap_draws(
 
 
 def _quantile_interval(samples: np.ndarray, alpha: float) -> ConfidenceInterval:
-    """Empirical ``alpha/2`` and ``1 - alpha/2`` quantiles of bootstrap replicates."""
-    lower, upper = np.quantile(samples, [alpha / 2.0, 1.0 - alpha / 2.0])
+    """Empirical ``alpha/2`` and ``1 - alpha/2`` quantiles of bootstrap replicates.
+
+    ``samples`` is partitioned in place, so it must be the caller's to spend.
+    """
+    lower, upper = np.quantile(samples, [alpha / 2.0, 1.0 - alpha / 2.0], overwrite_input=True)
     return ConfidenceInterval(float(lower), float(upper), 1.0 - alpha)
 
 

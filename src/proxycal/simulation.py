@@ -134,29 +134,14 @@ def sample_unit_ball(p: int, rng: np.random.Generator) -> np.ndarray:
     return direction * (radius / norm)
 
 
-def _count(x, delta: float, p: int, out: np.ndarray | None = None):
-    """Number of coordinates at or above ``delta``, one column at a time.
-
-    Counts into ``out`` when given, else into the smallest unsigned type that holds ``p``.
-    """
-    x = np.asarray(x, dtype=float)
-    if x.shape[-1] != p:
-        raise ValueError(f"x has {x.shape[-1]} coordinates, expected p={p}")
+def _count(x: np.ndarray, delta: float, out: np.ndarray) -> np.ndarray:
+    """Number of coordinates of each row of ``x`` at or above ``delta``, counted
+    into ``out`` one column at a time."""
     above = x >= delta
-    if out is None:
-        out = np.empty(x.shape[:-1], dtype=np.min_scalar_type(p))
     out.fill(0)
-    for j in range(p):
-        out += above[..., j]
+    for j in range(x.shape[1]):
+        out += above[:, j]
     return out
-
-
-def threshold_count(x, delta: float, p: int):
-    """Centered count of coordinates at or above ``delta``: in [-p/2, p/2].
-
-    Accepts a single length-``p`` vector or an ``(n, p)`` batch.
-    """
-    return _count(x, delta, p) - p / 2.0
 
 
 def _expit(v: float) -> float:
@@ -183,22 +168,14 @@ def _outcome_table(cfg: SimConfig) -> np.ndarray:
     return np.array([_expit(cfg.lambda1 * (c - p / 2.0) - cfg.phi1) for c in range(p + 1)])
 
 
-def outcome_prob(x, delta: float, cfg: SimConfig):
-    """Probability the binary primary outcome fires, logistic in the count."""
-    # the count takes p + 1 values, so the probability is a lookup
-    return _outcome_table(cfg)[_count(x, delta, cfg.dim_p)]
-
-
 def _proxy_table(cfg: SimConfig) -> np.ndarray:
-    """Proxy score at each count 0..p, arctan in the centered count."""
+    """Proxy score in (0, 1) at each count 0..p, arctan in the centered count.
+
+    The proxy always counts at the threshold zero, so it never drifts.
+    """
     p = cfg.dim_p
     t = np.arange(p + 1) - p / 2.0
     return np.arctan(cfg.lambda2 * t + cfg.phi2) / math.pi + 0.5
-
-
-def proxy_score(x, cfg: SimConfig):
-    """Deterministic proxy in (0, 1); always thresholds at zero, so it never drifts."""
-    return _proxy_table(cfg)[_count(x, 0.0, cfg.dim_p)]
 
 
 class _Slot:
@@ -228,25 +205,15 @@ def _draw(slot: _Slot, rng: np.random.Generator) -> None:
 
 def _label(cfg: SimConfig, slot: _Slot, mu: np.ndarray, delta: float) -> DomainData:
     """The domain drawn into ``slot``, shifted to ``mu`` and labelled at threshold ``delta``."""
-    x, p = slot.x, cfg.dim_p
+    x = slot.x
     x += mu
-    count = _count(x, delta, p, out=slot.count)
+    count = _count(x, delta, slot.count)
     y = np.less(slot.u, _outcome_table(cfg)[count], out=slot.fired).view(np.int8)
     # the proxy thresholds at zero, which counts the same as a delta of -0.0
     if delta != 0.0:
-        _count(x, 0.0, p, out=count)
+        _count(x, 0.0, count)
     proxy = np.take(_proxy_table(cfg), count, out=slot.u)
     return DomainData(covariates=x, primary=y, proxy=proxy, mean=mu)
-
-
-def gen_domain(cfg: SimConfig, mu, delta: float, rng: np.random.Generator) -> DomainData:
-    """Simulate one domain of ``n_per_domain`` i.i.d. units around the mean ``mu``."""
-    mu = np.asarray(mu, dtype=float)
-    if mu.shape != (cfg.dim_p,):
-        raise ValueError(f"mu has shape {mu.shape}, expected ({cfg.dim_p},) for dim_p={cfg.dim_p}")
-    slot = _Slot(cfg)
-    _draw(slot, rng)
-    return _label(cfg, slot, mu, delta)
 
 
 def cov_components(domain: DomainData) -> np.ndarray:
@@ -428,8 +395,8 @@ def _replicate_domains(
     last, through two slots: while the caller uses domain t, a helper thread
     draws domain t + 1's normals and uniforms into the other slot, and the
     next step labels it on the caller's thread. The helper draws only after
-    the means and one domain at a time, so the stream is consumed in the
-    order of successive :func:`gen_domain` calls and the domains are the same.
+    the means and one domain at a time, so the stream gives each domain its
+    normals, then its uniforms, in domain order, whatever the overlap.
     A domain's arrays are valid until the next domain is requested. The
     helper thread is joined when the block exits, also when it raises.
     """

@@ -3,9 +3,9 @@
 Everything here is deliberately written with plain Python loops and stdlib
 math so it shares no code path with the package: sequential sums instead of
 numpy reductions, erfc-based normal CDF with bisection quantiles instead of
-scipy, exhaustive enumeration instead of vectorized formulas. The one
-exception is ``mc_prevalence``, which draws from a numpy generator so that a
-seeded stream replays exactly.
+scipy, exhaustive enumeration instead of vectorized formulas. The
+exceptions are ``mc_prevalence`` and ``domain_reference``, which draw from a
+numpy generator so that a seeded stream replays exactly.
 """
 
 from __future__ import annotations
@@ -106,6 +106,38 @@ def transport_reference(xs, resids, mu_src, mu_tgt):
     ws = [r / total for r in ratios]
     delta = sum(w * r for w, r in zip(ws, resids))
     return delta, sum(w * w * (r - delta) ** 2 for w, r in zip(ws, resids))
+
+
+def count_reference(x, delta):
+    """Number of coordinates of the point ``x`` at or above ``delta``."""
+    return sum(1 for v in x if v >= delta)
+
+
+def outcome_reference(count, p, lambda1=0.5, phi1=2.0):
+    """Probability that the primary outcome fires: logistic in the centered count."""
+    return 1.0 / (1.0 + math.exp(-(lambda1 * (count - p / 2.0) - phi1)))
+
+
+def proxy_reference(count, p, lambda2=0.5, phi2=2.0):
+    """Proxy score: arctan of the centered count, mapped into (0, 1)."""
+    return math.atan(lambda2 * (count - p / 2.0) + phi2) / math.pi + 0.5
+
+
+def domain_reference(rng, n, mu, delta, lambda1=0.5, phi1=2.0, lambda2=0.5, phi2=2.0):
+    """One simulated domain ``(x, y, proxy)`` of ``n`` units around the mean ``mu``.
+
+    Draws from ``rng`` the ``(n, p)`` normals, then ``n`` uniforms. Unit i
+    fires (``y = 1``) when its uniform is below the outcome probability at its
+    count against ``delta``; its proxy counts against zero.
+    """
+    p = len(mu)
+    x = rng.standard_normal((n, p)) + np.asarray(mu, dtype=float)
+    us = rng.random(n).tolist()
+    ys, proxies = [], []
+    for row, u in zip(x.tolist(), us):
+        ys.append(1 if u < outcome_reference(count_reference(row, delta), p, lambda1, phi1) else 0)
+        proxies.append(proxy_reference(count_reference(row, 0.0), p, lambda2, phi2))
+    return x, np.array(ys, dtype=np.int8), np.array(proxies)
 
 
 def enumerated_prevalence(mu, lambda1=0.5, phi1=2.0):

@@ -54,6 +54,27 @@ THREE_ROWS = [
 ]
 
 
+HISTORY_COMMANDS = ["fit", "loo", "adjust", "tune-context"]
+
+
+def history_argv(tmp_path, command, rows):
+    """``(history path, argv)`` running ``command`` on ``rows`` into ``out.txt``.
+
+    ``adjust`` reads the history through ``--history``; for ``tune-context``
+    each row gets a ``context_x`` column holding its index.
+    """
+    out = str(tmp_path / "out.txt")
+    if command == "tune-context":
+        rows = [f"{row},{i}" for i, row in enumerate(rows)]
+        hist = history_csv(tmp_path, rows, header=HISTORY_HEADER + ",context_x")
+        return hist, [command, str(hist), "--target-context", "0.5", "--out", out]
+    hist = history_csv(tmp_path, rows)
+    if command == "adjust":
+        target = write(tmp_path / "target.csv", "domain_id,theta_star_hat,var_proxy\nt,0.5,0.0004\n")
+        return hist, [command, "--history", str(hist), "--target", str(target), "--out", out]
+    return hist, [command, str(hist), "--out", out]
+
+
 class TestHistoryLoading:
     def test_roundtrip_with_context_and_timestamp(self, tmp_path):
         path = history_csv(
@@ -454,19 +475,41 @@ class TestCliFit:
 
     # differences beyond the float range: -inf, then nan deviations (1e308);
     # finite differences whose squares overflow (1e200)
-    @pytest.mark.parametrize("big, fit_error", [("1e308", "rho must be finite, got -inf"),
-                                                ("1e200", "gamma2 must be finite, got inf")],
-                             ids=["1e308", "1e200"])
-    @pytest.mark.parametrize("command", ["fit", "loo"])
+    @pytest.mark.parametrize("big, messages", [
+        ("1e308", {"fit": "rho must be finite, got -inf",
+                   "adjust": "rho must be finite, got -inf",
+                   "tune-context": "rho must be finite, got -inf"}),
+        ("1e200", {"fit": "gamma2 must be finite, got inf",
+                   "adjust": "gamma2 must be finite, got inf",
+                   "tune-context": "gamma2 must be finite, got nan"}),
+    ], ids=["1e308", "1e200"])
+    @pytest.mark.parametrize("command", HISTORY_COMMANDS)
     def test_out_of_range_history_prints_one_error_line(
-        self, tmp_path, capsys, command, big, fit_error
+        self, tmp_path, capsys, command, big, messages
     ):
-        hist = history_csv(tmp_path, [THREE_ROWS[0], f"b,{big},-{big},0.005,0.005,0.0025",
-                                      THREE_ROWS[2]])
-        assert main([command, str(hist), "--out", str(tmp_path / "out.txt")]) == 2
-        message = (fit_error if command == "fit"
-                   else f"{hist}: held-out proxy interval endpoints must be finite")
+        rows = [THREE_ROWS[0], f"b,{big},-{big},0.005,0.005,0.0025", THREE_ROWS[2]]
+        hist, argv = history_argv(tmp_path, command, rows)
+        assert main(argv) == 2
+        message = messages.get(command, f"{hist}: held-out proxy interval endpoints must be finite")
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out.txt").exists()
+        assert not manifest_path(tmp_path / "out.txt").exists()
+
+    # the variances overflow in their sum (inf), then the covariance too: inf - inf (nan)
+    @pytest.mark.parametrize("cov, got", [("0.0025", "inf"), ("1e308", "nan")])
+    @pytest.mark.parametrize("command", HISTORY_COMMANDS)
+    def test_overflowing_difference_variance_names_file_and_row(
+        self, tmp_path, capsys, command, cov, got
+    ):
+        rows = [THREE_ROWS[0], f"b,0.5,0.8,1e308,1e308,{cov}", THREE_ROWS[2]]
+        hist, argv = history_argv(tmp_path, command, rows)
+        assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {hist}: row 3: b: var_primary + var_proxy - 2 * cov_primary_proxy "
+            f"must be finite, got {got}\n"
+        )
+        assert not (tmp_path / "out.txt").exists()
+        assert not manifest_path(tmp_path / "out.txt").exists()
 
     def test_internal_fault_exit_1(self, tmp_path, capsys, monkeypatch):
         import proxycal.cli

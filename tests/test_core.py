@@ -100,6 +100,14 @@ class TestRecordValidation:
         with pytest.raises(InvalidRecordError, match="bad-domain"):
             DomainRecord("bad-domain", 0.0, 0.0, 0.0, 0.0, 0.5)
 
+    # the variances overflow in their sum, then the covariance too: inf - inf
+    @pytest.mark.parametrize("cov, got", [(0.0025, "inf"), (1e308, "nan")])
+    def test_overflowing_difference_variance_named(self, cov, got):
+        with pytest.raises(InvalidRecordError, match=rf"^dom-7: var_primary \+ var_proxy - 2 \* "
+                                                     rf"cov_primary_proxy must be finite, got {got}$"):
+            DomainRecord("dom-7", 0.5, 0.6, 1e308, 1e308, cov)
+        DomainRecord("dom-7", 0.5, 0.6, 8e307, 8e307, 0.0)
+
     def test_context_normalized_to_tuple(self):
         r = DomainRecord("a", 0.0, 0.0, 0.01, 0.01, 0.0, context=[1, 2])
         assert r.context == (1.0, 2.0)

@@ -377,9 +377,10 @@ class TestBootstrapMemory:
     @staticmethod
     def bound(draws):
         # the chunk buffers (uniforms, later the resampled differences; indices;
-        # resampled variances) take at most three chunks; the replicates and the
-        # sorted copy np.quantile makes take 8 bytes a draw each; 256 KiB covers
-        # the small arrays and Python objects
+        # resampled variances) take at most three chunks; the replicates take 8
+        # bytes a draw, allowed here three times over and held to once by
+        # test_replicates_are_the_only_per_draw_memory; 256 KiB covers the small
+        # arrays and Python objects
         return 3 * intervals._BOOT_CHUNK_BYTES + 3 * 8 * draws + (1 << 18)
 
     @staticmethod
@@ -401,6 +402,21 @@ class TestBootstrapMemory:
         target = TargetRecord("t", 0.7, 0.003)
         peak = self.peak(lambda: bootstrap_interval(target, model, 0.1, draws=draws, seed=2))
         assert peak < self.bound(draws)
+
+    @pytest.mark.parametrize("shrink", [1, 16])
+    def test_replicates_are_the_only_per_draw_memory(self, monkeypatch, shrink):
+        # np.quantile partitions the replicates in place; a sorted copy would
+        # take another 8 bytes a draw, 4 MB here
+        monkeypatch.setattr(intervals, "_BOOT_CHUNK_BYTES", intervals._BOOT_CHUNK_BYTES // shrink)
+        k, draws = 25, 500_000
+        rng = np.random.default_rng(5)
+        model = fit_mom(history_of(zip(rng.normal(0.1, 0.2, k), rng.uniform(0.0, 0.01, k))))
+        target = TargetRecord("t", 0.7, 0.003)
+        work = intervals._BootWork.for_draws(k, draws)
+        block = work.u.nbytes + work.dv.nbytes + work.idx.nbytes
+        peak = self.peak(lambda: bootstrap_interval(target, model, 0.1, draws=draws, seed=2))
+        # 512 KiB covers a chunk's temporaries, the small arrays and Python objects
+        assert peak < 8 * draws + block + (1 << 19)
 
     @pytest.mark.parametrize("shrink", [1, 16])
     def test_loo_table(self, monkeypatch, shrink):

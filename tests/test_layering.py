@@ -120,16 +120,12 @@ PUBLIC_API = [
     "exact_prevalence",
     "fit_mom",
     "fit_weighted_mom",
-    "gen_domain",
     "loo_table",
     "normal_quantile",
-    "outcome_prob",
     "plugin_interval",
-    "proxy_score",
     "run_experiment",
     "sample_unit_ball",
     "similarity_weights",
-    "threshold_count",
     "time_decay_weights",
     "wald_interval",
 ]

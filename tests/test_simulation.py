@@ -20,12 +20,8 @@ from proxycal import (
     SimConfig,
     cov_components,
     exact_prevalence,
-    gen_domain,
-    outcome_prob,
-    proxy_score,
     run_experiment,
     sample_unit_ball,
-    threshold_count,
 )
 from proxycal import core, intervals, simulation
 from proxycal.core import _record_columns
@@ -34,27 +30,60 @@ from proxycal.simulation import (
     _domain_table,
     _expit,
     _ndtr,
+    _outcome_table,
+    _proxy_table,
     _replicate_domains,
 )
 from proxycal._rng import substream
 
 from reference import (
+    count_reference,
     density_ratio,
+    domain_reference,
     enumerated_prevalence,
     enumerated_prevalence_sd,
     mc_prevalence,
+    outcome_reference,
+    proxy_reference,
     transport_reference,
 )
 
 CFG = SimConfig(n_domains=5, n_per_domain=100, seed=0)
 
 
+def oracle_domain(cfg, mu, delta, rng):
+    """:func:`domain_reference` of one domain of ``cfg``, drawn from ``rng``."""
+    x, y, proxy = domain_reference(rng, cfg.n_per_domain, mu, delta,
+                                   cfg.lambda1, cfg.phi1, cfg.lambda2, cfg.phi2)
+    return DomainData(covariates=x, primary=y, proxy=proxy, mean=np.asarray(mu, dtype=float))
+
+
 def replicate(cfg, rep):
-    """The K domains of one replicate by successive :func:`gen_domain` calls on its stream,
-    each with arrays of its own."""
+    """The K domains of one replicate, drawn by the oracle one after another from its
+    stream, each with arrays of its own."""
     rng = substream(cfg.seed, rep, simulation._PATH_GEN)
     means, deltas = simulation._domain_means(cfg, rng)
-    return [gen_domain(cfg, mu, delta, rng) for mu, delta in zip(means, deltas)]
+    return [oracle_domain(cfg, mu, delta, rng) for mu, delta in zip(means, deltas)]
+
+
+def label_domain(cfg, mu, delta, rng):
+    """One domain through a slot of its own, as a replicate draws and labels it."""
+    slot = simulation._Slot(cfg)
+    simulation._draw(slot, rng)
+    return simulation._label(cfg, slot, np.asarray(mu, dtype=float), delta)
+
+
+def copy_stream(rng):
+    """A generator at the same point of the same stream as ``rng``."""
+    copy = np.random.Generator(type(rng.bit_generator)())
+    copy.bit_generator.state = rng.bit_generator.state
+    return copy
+
+
+def assert_domains_equal(got, want):
+    for name in ("covariates", "primary", "proxy", "mean"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def pair_transport(means, sources):
@@ -86,22 +115,42 @@ class TestSampleUnitBall:
 
 
 class TestThresholdCount:
+    """Hand counts of ``_count`` and of the count oracle, centered at p/2."""
+
+    @staticmethod
+    def centered(rows, delta):
+        x = np.array(rows, dtype=float)
+        counts = simulation._count(x, delta, np.empty(len(x), dtype=np.uint8))
+        assert counts.tolist() == [count_reference(row, delta) for row in rows]
+        return (counts - x.shape[1] / 2.0).tolist()
+
     def test_all_above(self):
-        assert threshold_count((1.0, 1.0, 1.0, 1.0), 0.0, 4) == 2.0
+        assert self.centered([(1.0, 1.0, 1.0, 1.0)], 0.0) == [2.0]
 
     def test_symmetric(self):
-        assert threshold_count((-1.0, -1.0, 1.0, 1.0), 0.0, 4) == 0.0
+        assert self.centered([(-1.0, -1.0, 1.0, 1.0)], 0.0) == [0.0]
 
     def test_hand_count(self):
-        assert threshold_count((0.1, 0.2, 0.3, 0.4), 0.25, 4) == 0.0
+        assert self.centered([(0.1, 0.2, 0.3, 0.4)], 0.25) == [0.0]
 
     def test_batched(self):
-        out = threshold_count(np.array([[1.0] * 4, [-1.0] * 4]), 0.0, 4)
-        assert out.tolist() == [2.0, -2.0]
+        assert self.centered([[1.0] * 4, [-1.0] * 4], 0.0) == [2.0, -2.0]
 
-    def test_dimension_check(self):
-        with pytest.raises(ValueError):
-            threshold_count((1.0, 2.0), 0.0, 4)
+
+def outcome_at(x, delta, cfg):
+    """The outcome table's entry at the count of the point ``x``, which the oracle equals."""
+    count = count_reference(x, delta)
+    value = _outcome_table(cfg)[count]
+    assert value == outcome_reference(count, cfg.dim_p, cfg.lambda1, cfg.phi1)
+    return value
+
+
+def proxy_at(x, cfg):
+    """The proxy table's entry at the count of the point ``x``, which the oracle equals."""
+    count = count_reference(x, 0.0)
+    value = _proxy_table(cfg)[count]
+    assert value == proxy_reference(count, cfg.dim_p, cfg.lambda2, cfg.phi2)
+    return value
 
 
 class TestOutcomeProb:
@@ -114,13 +163,11 @@ class TestOutcomeProb:
         ],
     )
     def test_hand_logistic(self, x, expected):
-        assert outcome_prob(x, 0.0, CFG) == pytest.approx(expected, abs=1e-6)
+        assert outcome_at(x, 0.0, CFG) == pytest.approx(expected, abs=1e-6)
 
     def test_strictly_interior(self):
-        rng = substream(4, 0)
-        x = rng.standard_normal((1000, 4))
-        p = outcome_prob(x, 0.0, CFG)
-        assert np.all((p > 0) & (p < 1))
+        table = _outcome_table(CFG)
+        assert np.all((table > 0) & (table < 1))
 
 
 class TestProxyScore:
@@ -128,19 +175,17 @@ class TestProxyScore:
         # lambda2*T + phi2 = 0 at T = -4 for the default parameters
         cfg = SimConfig(n_domains=2, n_per_domain=10, dim_p=8,
                         mu_target=(0.0,) * 8)
-        assert proxy_score((-1.0,) * 8, cfg) == pytest.approx(0.5, abs=1e-12)
+        assert proxy_at((-1.0,) * 8, cfg) == pytest.approx(0.5, abs=1e-12)
 
     def test_arctan_one(self):
-        assert proxy_score((-1.0,) * 4, CFG) == pytest.approx(0.75, abs=1e-12)
+        assert proxy_at((-1.0,) * 4, CFG) == pytest.approx(0.75, abs=1e-12)
 
     def test_hand_value(self):
-        assert proxy_score((0.1, 0.1, -0.1, -0.1), CFG) == pytest.approx(0.852416, abs=1e-6)
+        assert proxy_at((0.1, 0.1, -0.1, -0.1), CFG) == pytest.approx(0.852416, abs=1e-6)
 
     def test_interior(self):
-        rng = substream(5, 0)
-        x = rng.standard_normal((1000, 4))
-        s = proxy_score(x, CFG)
-        assert np.all((s > 0) & (s < 1))
+        table = _proxy_table(CFG)
+        assert np.all((table > 0) & (table < 1))
 
 
 def port_configs(p):
@@ -156,20 +201,16 @@ class TestSpecialPorts:
     @pytest.mark.parametrize("p", [1, 2, 4, 8])
     def test_outcome_table_equals_expit(self, p):
         special = pytest.importorskip("scipy.special")
-        x = substream(31, p).standard_normal((20_000, p))
+        t = np.arange(p + 1) - p / 2.0
         for cfg in port_configs(p):
-            for delta in (-0.5, 0.0, 0.75):
-                t = (x >= delta).sum(axis=-1) - p / 2.0
-                expected = special.expit(cfg.lambda1 * t - cfg.phi1)
-                np.testing.assert_array_equal(outcome_prob(x, delta, cfg), expected)
+            expected = special.expit(cfg.lambda1 * t - cfg.phi1)
+            np.testing.assert_array_equal(_outcome_table(cfg), expected)
 
     @pytest.mark.parametrize("p", [1, 2, 4, 8])
     def test_proxy_table_equals_arctan(self, p):
-        x = substream(32, p).standard_normal((20_000, p))
-        t = (x >= 0.0).sum(axis=-1) - p / 2.0
         for cfg in port_configs(p):
-            expected = np.arctan(cfg.lambda2 * t + cfg.phi2) / math.pi + 0.5
-            np.testing.assert_array_equal(proxy_score(x, cfg), expected)
+            expected = [proxy_reference(c, p, cfg.lambda2, cfg.phi2) for c in range(p + 1)]
+            assert _proxy_table(cfg).tolist() == expected
 
     def test_expit_equals_scipy(self):
         special = pytest.importorskip("scipy.special")
@@ -280,61 +321,48 @@ class TestWeightedTransport:
 
 
 class TestGenDomain:
+    """One domain as a replicate draws and labels it, against the oracle."""
+
     def test_primary_mean_near_truth(self):
         cfg = SimConfig(n_domains=2, n_per_domain=50_000, mu_target=(0.0,) * 4, seed=1)
-        dom = gen_domain(cfg, np.zeros(4), 0.0, substream(7, 0))
+        dom = label_domain(cfg, np.zeros(4), 0.0, substream(7, 0))
         truth = enumerated_prevalence((0.0,) * 4)
         se = math.sqrt(truth * (1 - truth) / cfg.n_per_domain)
         assert dom.primary.mean() == pytest.approx(truth, abs=3 * se)
         assert truth == pytest.approx(0.129045, abs=1e-6)
 
     def test_proxy_in_open_interval(self):
-        dom = gen_domain(CFG, np.zeros(4), 0.0, substream(8, 0))
+        dom = label_domain(CFG, np.zeros(4), 0.0, substream(8, 0))
         assert np.all((dom.proxy > 0) & (dom.proxy < 1))
         assert set(np.unique(dom.primary)) <= {0, 1}
 
     def test_covariate_mean_close(self):
         cfg = SimConfig(n_domains=2, n_per_domain=20_000, seed=1)
         mu = np.array([0.5, -0.5, 0.25, 0.0])
-        dom = gen_domain(cfg, mu, 0.0, substream(9, 0))
+        dom = label_domain(cfg, mu, 0.0, substream(9, 0))
         bound = 3.0 / math.sqrt(cfg.n_per_domain)
         assert np.all(np.abs(dom.covariates.mean(axis=0) - mu) < bound)
-
-    # a length-1 mean would broadcast over every coordinate; a length-2 one
-    # would fail inside numpy without naming dim_p
-    @pytest.mark.parametrize("mu", [[0.5], [0.5, -0.5]])
-    def test_rejects_mean_of_wrong_length(self, mu):
-        with pytest.raises(ValueError, match=rf"mu has shape \({len(mu)},\).*dim_p=4"):
-            gen_domain(CFG, mu, 0.0, substream(9, 1))
 
     # kappa = 0 draws every threshold as zero; at kappa = 1 only the target's is
     @pytest.mark.parametrize("kappa", [0.0, 1.0])
     def test_labels_and_proxies_equal_separate_counts(self, monkeypatch, kappa):
         cfg = SimConfig(n_domains=6, n_per_domain=500, kappa=kappa, seed=11)
-        n, p = cfg.n_per_domain, cfg.dim_p
         rng = substream(cfg.seed, 0, simulation._PATH_GEN)
         means, deltas = simulation._domain_means(cfg, rng)
         calls = []
         counted = simulation._count
 
-        def counting(*args, **kwargs):
-            calls.append(args[1])
-            return counted(*args, **kwargs)
+        def counting(x, delta, out):
+            calls.append(delta)
+            return counted(x, delta, out)
 
+        monkeypatch.setattr(simulation, "_count", counting)
         # -0.0 thresholds like 0.0, so it counts once too
         for mu, delta in [*zip(means, deltas), (means[0], -0.0)]:
-            ref = np.random.Generator(np.random.Philox())
-            ref.bit_generator.state = rng.bit_generator.state
+            expected = oracle_domain(cfg, mu, delta, copy_stream(rng))
             calls.clear()
-            monkeypatch.setattr(simulation, "_count", counting)
-            dom = gen_domain(cfg, mu, delta, rng)
-            monkeypatch.setattr(simulation, "_count", counted)
+            assert_domains_equal(label_domain(cfg, mu, delta, rng), expected)
             assert len(calls) == (1 if delta == 0.0 else 2)
-            x = ref.standard_normal((n, p)) + mu
-            y = (ref.random(n) < outcome_prob(x, delta, cfg)).astype(np.int8)
-            assert dom.covariates.tobytes() == x.tobytes()
-            assert dom.primary.dtype == y.dtype and dom.primary.tobytes() == y.tobytes()
-            assert dom.proxy.tobytes() == proxy_score(x, cfg).tobytes()
         assert (np.array(deltas) == 0.0).sum() == (cfg.n_domains if kappa == 0.0 else 1)
 
 
@@ -350,9 +378,7 @@ class TestDrawAhead:
             with _replicate_domains(cfg, rep) as (means, domains):
                 # each domain is compared before the next is requested
                 for dom, ref in zip(domains, expected, strict=True):
-                    for name in ("covariates", "primary", "proxy", "mean"):
-                        got, want = getattr(dom, name), getattr(ref, name)
-                        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+                    assert_domains_equal(dom, ref)
             assert means.tobytes() == np.stack([ref.mean for ref in expected]).tobytes()
 
     @pytest.mark.parametrize("workers", [1, 2])
