@@ -70,7 +70,7 @@ def history_argv(tmp_path, command, rows):
         return hist, [command, str(hist), "--target-context", "0.5", "--out", out]
     hist = history_csv(tmp_path, rows)
     if command == "adjust":
-        target = write(tmp_path / "target.csv", "domain_id,theta_star_hat,var_proxy\nt,0.5,0.0004\n")
+        target = target_csv(tmp_path)
         return hist, [command, "--history", str(hist), "--target", str(target), "--out", out]
     return hist, [command, str(hist), "--out", out]
 
