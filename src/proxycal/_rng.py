@@ -36,14 +36,13 @@ def derive_seed(seed: int, *path: int) -> int:
 
 
 def uniform_block(
-    seed: int, path: tuple[int, ...], start: int, count: int, out: np.ndarray | None = None
+    seed: int, path: tuple[int, ...], start: int, count: int, out: np.ndarray
 ) -> np.ndarray:
-    """Uniform doubles at absolute positions ``[start, start + count)``.
+    """Uniform doubles at absolute positions ``[start, start + count)``, written into ``out``.
 
     ``start`` must be a multiple of :data:`BLOCK` so the Philox counter can be
-    positioned exactly; callers pad their per-item strides accordingly. When
-    ``out`` (a contiguous 1-D float64 array of length ``count``) is given, the
-    uniforms are written into it and it is returned; the values are the same.
+    positioned exactly; callers pad their per-item strides accordingly. ``out``
+    is a contiguous 1-D float64 array of length ``count``; it is returned.
     """
     if start % BLOCK:
         raise ValueError(f"block start must be a multiple of {BLOCK}, got {start}")

@@ -177,7 +177,13 @@ def _cmd_tune_context(args: argparse.Namespace) -> tuple[dict, dict]:
 
     profile = beta_profile(history, target_context, grid)
     beta_star, ll_star = best_beta(profile)
-    weights = similarity_weights([r.context for r in history], target_context, beta_star)
+    try:
+        weights = similarity_weights([r.context for r in history], target_context, beta_star)
+    except ValueError as exc:  # unusable weights score -inf, so every bandwidth did
+        raise dataio.SchemaError(
+            f"{args.history}: every --beta-grid bandwidth scores -inf at --target-context "
+            f"{args.target_context!r}, and the first, {beta_star!r}, has no usable weights: {exc}"
+        ) from None
     model = fit_weighted_mom(history, weights)
     _emit_model_warnings(model)
 

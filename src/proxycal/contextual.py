@@ -77,8 +77,10 @@ def _squared_distances(
             raise ValueError(
                 f"context dimension mismatch: history has {len(c)}, target has {len(tgt)}"
             )
-    diff = np.array(history_contexts, dtype=float).reshape(len(history_contexts), len(tgt)) - tgt
-    return np.square(diff).sum(axis=1)
+    contexts = np.array(history_contexts, dtype=float).reshape(len(history_contexts), len(tgt))
+    # a distance beyond the float range is inf, and its weight 0
+    with np.errstate(over="ignore"):
+        return np.square(contexts - tgt).sum(axis=1)
 
 
 def _kernel_weights(sq: np.ndarray, beta: float) -> np.ndarray:
@@ -86,7 +88,9 @@ def _kernel_weights(sq: np.ndarray, beta: float) -> np.ndarray:
     :class:`ContextWeights` checks its weights."""
     if beta <= 0:
         raise ValueError(f"beta must be > 0, got {beta}")
-    raw = np.exp(-sq / (2.0 * beta * beta))
+    # a bandwidth whose square leaves the float range gives weights rejected below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        raw = np.exp(-sq / (2.0 * beta * beta))
     total = raw.sum()
     if total == 0.0:
         raise ValueError("all similarities underflowed: target context lies outside history support")

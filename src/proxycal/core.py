@@ -80,6 +80,8 @@ class DomainRecord:
 
     def __post_init__(self) -> None:
         _check_finite(self.domain_id, theta_hat=self.theta_hat, theta_star_hat=self.theta_star_hat)
+        d = self.theta_star_hat - self.theta_hat  # the scalar form of the d that _diffs computes
+        _check_finite(self.domain_id, **{"theta_star_hat - theta_hat": d})
         _check_cov_block(self.domain_id, self.var_primary, self.var_proxy, self.cov_primary_proxy)
         _check_side_info(self)
 
@@ -151,9 +153,9 @@ def _diffs(theta_hat, theta_star_hat, var_primary, var_proxy, cov_primary_proxy)
 
     Returns ``(d, diff_var)`` with ``d = theta_star_hat - theta_hat`` and
     ``diff_var = var_primary + var_proxy - 2 * cov_primary_proxy`` over
-    whole columns. The checks enforced on records guarantee a finite
-    ``diff_var >= 0`` up to rounding, which is clipped away; a clipped or
-    negative-zero variance comes out as ``+0.0``. A difference beyond the
+    whole columns. Records guarantee a finite ``d`` and a finite ``diff_var
+    >= 0`` up to rounding, which is clipped away; a clipped or negative-zero
+    variance comes out as ``+0.0``. On other columns a difference beyond the
     float range is ``inf``, as in scalar arithmetic, without a warning.
     """
     with np.errstate(over="ignore"):
@@ -175,17 +177,23 @@ def _moments(
     independent fits. A 1-D weight vector ``w`` summing to one replaces the
     plain means. When ``scratch`` (an array shaped like ``d``, which may be
     ``d`` itself) is given, the squared deviations are written into it.
-    Differences beyond the float range give a non-finite result without a
-    warning, which every caller rejects.
+    Differences or squared deviations beyond the float range give a
+    non-finite result without a warning, which every caller rejects.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         if w is None:
             rho = d.mean(axis=-1)
             dev = np.subtract(d, rho[..., None], out=scratch)
             return rho, np.square(dev, out=dev).mean(axis=-1) - dv.mean(axis=-1)
-        rho = w @ d
-        dev = np.subtract(d, rho, out=scratch)
-        return rho, w @ np.square(dev, out=dev) - w @ dv
+        rho = _dot_rows(d, w)
+        dev = np.subtract(d, rho[..., None], out=scratch)
+        return rho, _dot_rows(np.square(dev, out=dev), w) - _dot_rows(dv, w)
+
+
+def _dot_rows(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``row @ w`` for every row of ``x``, one dot product each, as a 1 x K stack:
+    a 2-D ``x @ w`` is a matrix-vector product, which rounds differently."""
+    return np.matmul(x[..., None, :], w)[..., 0]
 
 
 def _truncate(gamma2_raw):

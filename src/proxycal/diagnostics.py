@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._rng import derive_seed
-from .core import DomainRecord, TargetRecord, _diffs, _moments, _record_columns, _truncate
+from .core import DomainRecord, _diffs, _moments, _record_columns, _truncate
 from .intervals import (
     DEFAULT_BOOTSTRAP_DRAWS,
     _bootstrap_draws,
@@ -78,11 +78,10 @@ def _loo_endpoints(
         q = np.empty((len(levels), len(history)))
         # every held-out fit resamples K - 1 domains, so one set of buffers serves all
         work = _BootWork.for_draws(len(history) - 1, bootstrap_draws)
-        for k, rec in enumerate(history):
-            held_out = TargetRecord(rec.domain_id, rec.theta_star_hat, rec.var_proxy)
+        for k in range(len(history)):
             samples = _bootstrap_draws(
-                np.delete(d, k), np.delete(dv, k), held_out, bootstrap_draws,
-                derive_seed(seed, k), work,
+                np.delete(d, k), np.delete(dv, k), theta_star[k], var_proxy[k],
+                bootstrap_draws, derive_seed(seed, k), work,
             )
             q[:, k] = np.quantile(samples, levels, overwrite_input=True)
         proxy = q[: len(alphas)], q[len(alphas) :]

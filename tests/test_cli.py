@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -473,12 +474,11 @@ class TestCliFit:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"Is a directory: '{tmp_path}'" in err
 
-    # differences beyond the float range: -inf, then nan deviations (1e308);
-    # finite differences whose squares overflow (1e200)
+    # a difference beyond the float range, -inf, is the row's (1e308); finite
+    # differences whose squares overflow (1e200) are the whole fit's
     @pytest.mark.parametrize("big, messages", [
-        ("1e308", {"fit": "rho must be finite, got -inf",
-                   "adjust": "rho must be finite, got -inf",
-                   "tune-context": "rho must be finite, got -inf"}),
+        ("1e308", dict.fromkeys(HISTORY_COMMANDS, "{hist}: row 3: b: theta_star_hat - theta_hat "
+                                                  "must be finite, got -inf")),
         ("1e200", {"fit": "gamma2 must be finite, got inf",
                    "adjust": "gamma2 must be finite, got inf",
                    "tune-context": "gamma2 must be finite, got nan"}),
@@ -490,8 +490,8 @@ class TestCliFit:
         rows = [THREE_ROWS[0], f"b,{big},-{big},0.005,0.005,0.0025", THREE_ROWS[2]]
         hist, argv = history_argv(tmp_path, command, rows)
         assert main(argv) == 2
-        message = messages.get(command, f"{hist}: held-out proxy interval endpoints must be finite")
-        assert capsys.readouterr().err == f"error: {message}\n"
+        message = messages.get(command, "{hist}: held-out proxy interval endpoints must be finite")
+        assert capsys.readouterr().err == f"error: {message.format(hist=hist)}\n"
         assert not (tmp_path / "out.txt").exists()
         assert not manifest_path(tmp_path / "out.txt").exists()
 
@@ -833,6 +833,30 @@ class TestCliTuneContext:
                      "--out", str(tmp_path / "t.txt")]) == 2
         err = capsys.readouterr().err
         assert f"{hist}: tune-context needs at least 2 history rows, found 1" in err
+
+    # a target context whose distance overflows, one where every weight
+    # underflows, and a bandwidth whose square underflows to zero
+    @pytest.mark.parametrize("flags, beta, reason", [
+        (["--target-context", "1e200"], "0.01", "all similarities underflowed"),
+        (["--target-context", "1000", "--beta-grid", "0.01"], "0.01",
+         "all similarities underflowed"),
+        (["--target-context", "1.0", "--beta-grid", "1e-200"], "1e-200",
+         "weights must be finite and nonnegative"),
+    ], ids=["overflow", "underflow", "zero-bandwidth"])
+    def test_no_usable_bandwidth_names_file_and_flags(self, tmp_path, capsys, flags, beta, reason):
+        hist, argv = history_argv(tmp_path, "tune-context", THREE_ROWS)
+        argv[argv.index("--target-context") : argv.index("--target-context") + 2] = flags
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and err.count("\n") == 1
+        assert err.startswith(
+            f"error: {hist}: every --beta-grid bandwidth scores -inf at --target-context "
+            f"{flags[1]!r}, and the first, {beta}, has no usable weights: {reason}"
+        )
+        assert not (tmp_path / "out.txt").exists()
+        assert not manifest_path(tmp_path / "out.txt").exists()
 
     def test_target_context_length_names_flag_and_file(self, tmp_path, capsys):
         rows = [row + ",0.0,1.0" for row in THREE_ROWS]

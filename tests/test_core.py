@@ -108,6 +108,13 @@ class TestRecordValidation:
             DomainRecord("dom-7", 0.5, 0.6, 1e308, 1e308, cov)
         DomainRecord("dom-7", 0.5, 0.6, 8e307, 8e307, 0.0)
 
+    @pytest.mark.parametrize("theta, got", [(1e308, "-inf"), (-1e308, "inf")])
+    def test_overflowing_difference_named(self, theta, got):
+        with pytest.raises(InvalidRecordError, match=rf"^dom-7: theta_star_hat - theta_hat "
+                                                     rf"must be finite, got {got}$"):
+            DomainRecord("dom-7", theta, -theta, 0.01, 0.01, 0.0)
+        DomainRecord("dom-7", theta * 0.8, -theta * 0.8, 0.01, 0.01, 0.0)
+
     def test_context_normalized_to_tuple(self):
         r = DomainRecord("a", 0.0, 0.0, 0.01, 0.01, 0.0, context=[1, 2])
         assert r.context == (1.0, 2.0)
@@ -265,10 +272,12 @@ class TestMomentKernel:
     def assert_rows_equal(self, d_rows, dv_rows):
         from proxycal.core import _moments
 
-        rho, raw = _moments(d_rows, dv_rows)
-        rows = [_moments(dr, dvr) for dr, dvr in zip(d_rows, dv_rows)]
-        assert np.array_equal(rho, [r for r, _ in rows])
-        assert np.array_equal(raw, [g for _, g in rows])
+        w = np.random.default_rng(3).uniform(size=d_rows.shape[-1])
+        for weights in (None, w / w.sum()):
+            rho, raw = _moments(d_rows, dv_rows, weights)
+            rows = [_moments(dr, dvr, weights) for dr, dvr in zip(d_rows, dv_rows)]
+            assert np.array_equal(rho, [r for r, _ in rows])
+            assert np.array_equal(raw, [g for _, g in rows])
 
     def test_bootstrap_resample_rows(self):
         d, dv = self.arrays()

@@ -169,9 +169,11 @@ class TestLooOverlapRate:
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("method", ["plugin", "bootstrap"])
     def test_overflowing_difference_errors(self, method):
-        # theta_star_hat - theta_hat overflows, so every other held-out center is infinite
-        history = matched_history() + [DomainRecord("big", -1.7e308, 1.7e308, 0.001, 0.001, 0.0)]
-        with pytest.raises(ValueError, match="must be finite"):
+        # the difference is finite, but its squared deviation overflows, so every
+        # other held-out variance is infinite; a difference that overflows is
+        # rejected by its record (test_core)
+        history = matched_history() + [DomainRecord("big", -1e200, 1e200, 0.001, 0.001, 0.0)]
+        with pytest.raises(ValueError, match="held-out proxy interval endpoints must be finite"):
             loo_table(history, [0.05], method, bootstrap_draws=50)
 
     def test_unknown_method_error(self):

@@ -22,7 +22,7 @@ from proxycal import (
     wald_interval,
 )
 from proxycal.core import diff_arrays
-from proxycal.intervals import _bootstrap_samples, _ndtri
+from proxycal.intervals import _bootstrap_draws, _BootWork, _ndtri
 
 from reference import bootstrap_mixture_quantile, normal_quantile_reference
 
@@ -223,19 +223,12 @@ class TestDomainBootstrap:
         assert (a.lower, a.upper) != (c.lower, c.upper)
 
     def test_draw_blocks_are_order_independent(self):
-        history = history_of([(0.05, 0.001), (0.2, 0.002), (-0.1, 0.004)])
-        target = TargetRecord("t", 0.7, 0.003)
         d = np.array([0.05, 0.2, -0.1])
         dv = np.array([0.001, 0.002, 0.004])
-        full = _bootstrap_samples(d, dv, target, 42, 0, 5000)
-        pieces = np.concatenate(
-            [
-                _bootstrap_samples(d, dv, target, 42, 0, 137),
-                _bootstrap_samples(d, dv, target, 42, 137, 2100),
-                _bootstrap_samples(d, dv, target, 42, 2100, 5000),
-            ]
-        )
-        assert np.array_equal(full, pieces)
+        full = _bootstrap_draws(d, dv, 0.7, 0.003, 5000, 42, _BootWork(3, 5000))
+        for chunk in (1, 137, 2100):
+            pieces = _bootstrap_draws(d, dv, 0.7, 0.003, 5000, 42, _BootWork(3, chunk))
+            assert np.array_equal(full, pieces)
 
     @pytest.mark.parametrize("m", [1, 3, 5, 1000])
     def test_top_uniform_resamples_the_last_domain(self, monkeypatch, m):
@@ -243,20 +236,20 @@ class TestDomainBootstrap:
         # normal's uniform stays as drawn, so the samples are finite
         rng = np.random.default_rng(m)
         d, dv = rng.normal(0.1, 0.2, m), rng.uniform(0.0, 0.01, m)
-        target = TargetRecord("t", 0.7, 0.003)
         draws, stride = 64, intervals._draw_stride(m)
         drawn = intervals.uniform_block
 
-        def top(seed, path, start, count, out=None):
+        def top(seed, path, start, count, out):
             u = drawn(seed, path, start, count, out=out)
             u.reshape(-1, stride)[:, :m] = np.nextafter(1.0, 0.0)
             return u
 
         monkeypatch.setattr(intervals, "uniform_block", top)
-        work = intervals._BootWork(m, draws)
-        samples = _bootstrap_samples(d, dv, target, 5, 0, draws, work)
+        work = _BootWork(m, draws)
+        samples = _bootstrap_draws(d, dv, 0.7, 0.003, draws, 5, work)
         assert (work.idx == m - 1).all()
-        last = _bootstrap_samples(np.full(m, d[-1]), np.full(m, dv[-1]), target, 5, 0, draws)
+        last = _bootstrap_draws(np.full(m, d[-1]), np.full(m, dv[-1]), 0.7, 0.003, draws, 5,
+                                _BootWork(m, draws))
         assert np.isfinite(samples).all()
         assert samples.tobytes() == last.tobytes()
 
@@ -266,17 +259,17 @@ class TestDomainBootstrap:
         # normal quantile is inf
         rng = np.random.default_rng(m)
         d, dv = rng.normal(0.1, 0.2, m), rng.uniform(0.0, 0.01, m)
-        target = TargetRecord("t", 0.7, 0.003)
         draws, stride = 64, intervals._draw_stride(m)
         drawn = intervals.uniform_block
 
-        def top(seed, path, start, count, out=None):
+        def top(seed, path, start, count, out):
             u = drawn(seed, path, start, count, out=out)
             u.reshape(-1, stride)[:, m] = np.nextafter(1.0, 0.0)
             return u
 
         monkeypatch.setattr(intervals, "uniform_block", top)
-        assert np.isfinite(_bootstrap_samples(d, dv, target, 5, 0, draws)).all()
+        samples = _bootstrap_draws(d, dv, 0.7, 0.003, draws, 5, _BootWork(m, draws))
+        assert np.isfinite(samples).all()
 
     def test_chunks_bounded_by_bytes(self, monkeypatch):
         # 5,000 draws keep the one-call reference below about 200 MB
@@ -284,22 +277,25 @@ class TestDomainBootstrap:
         rng = np.random.default_rng(8)
         history = history_of(zip(rng.normal(0.1, 0.2, k), rng.uniform(0.0, 0.01, k)))
         target = TargetRecord("t", 0.7, 0.003)
-        chunks = []
-
-        def recorded(d, dv, target, seed, start, stop, work):
-            chunks.append((start, stop))
-            return _bootstrap_samples(d, dv, target, seed, start, stop, work)
-
-        monkeypatch.setattr(intervals, "_bootstrap_samples", recorded)
-        got = bootstrap_interval(target, fit_mom(history), 0.1, draws=draws, seed=4)
         uniforms_per_draw = 4 * -(-(k + 1) // 4)
+        chunks = []
+        drawn = intervals.uniform_block
+
+        def recorded(seed, path, start, count, out):
+            start_draw = start // uniforms_per_draw
+            chunks.append((start_draw, start_draw + count // uniforms_per_draw))
+            return drawn(seed, path, start, count, out=out)
+
+        monkeypatch.setattr(intervals, "uniform_block", recorded)
+        got = bootstrap_interval(target, fit_mom(history), 0.1, draws=draws, seed=4)
         assert len(chunks) > 1
         assert [a for a, _ in chunks[1:]] == [b for _, b in chunks[:-1]]
         assert (chunks[0][0], chunks[-1][1]) == (0, draws)
         assert all(8 * uniforms_per_draw * (b - a) <= intervals._BOOT_CHUNK_BYTES
                    for a, b in chunks)
         d, dv = diff_arrays(history)
-        lower, upper = np.quantile(_bootstrap_samples(d, dv, target, 4, 0, draws), [0.05, 0.95])
+        samples = _bootstrap_draws(d, dv, 0.7, 0.003, draws, 4, _BootWork(k, draws))
+        lower, upper = np.quantile(samples, [0.05, 0.95])
         assert (got.lower, got.upper) == (lower, upper)
 
     @given(
@@ -327,9 +323,8 @@ class TestDomainBootstrap:
     def test_reused_work_set_equals_fresh_buffers(self, domains, calls, chunk_bytes):
         d, dv = (np.array(column) for column in zip(*domains))
         m = len(d)
-        target = TargetRecord("t", 0.6, 0.002)
         with mock.patch.object(intervals, "_BOOT_CHUNK_BYTES", chunk_bytes):
-            work = intervals._BootWork.for_draws(m, max(draws for draws, _ in calls))
+            work = _BootWork.for_draws(m, max(draws for draws, _ in calls))
         # stale values that a missed write would leak: NaN, and an index one past the end
         work.u.fill(np.nan)
         work.dv.fill(np.nan)
@@ -337,8 +332,8 @@ class TestDomainBootstrap:
         for i, (draws, seed) in enumerate(calls):
             # each call rotates the domains, as each held-out domain of a LOO pass differs
             d_i, dv_i = np.roll(d, i), np.roll(dv, i)
-            reused = intervals._bootstrap_draws(d_i, dv_i, target, draws, seed, work)
-            fresh = _bootstrap_samples(d_i, dv_i, target, seed, 0, draws)
+            reused = _bootstrap_draws(d_i, dv_i, 0.6, 0.002, draws, seed, work)
+            fresh = _bootstrap_draws(d_i, dv_i, 0.6, 0.002, draws, seed, _BootWork(m, draws))
             assert reused.tobytes() == fresh.tobytes()
 
     @pytest.mark.parametrize("m, chunk", [(1, 1), (24, 4000), (59, 2184)])

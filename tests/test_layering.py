@@ -85,10 +85,15 @@ def constructed_names(module: str) -> set[str]:
     }
 
 
-def test_only_core_and_dataio_construct_domain_records():
+# The simulator builds its target record to call the public interval functions.
+@pytest.mark.parametrize("record, builders", [
+    ("DomainRecord", {"core", "dataio"}),
+    ("TargetRecord", {"core", "dataio", "simulation"}),
+], ids=["DomainRecord", "TargetRecord"])
+def test_only_core_and_dataio_construct_domain_records(record, builders):
     # records are what the user hands in; computed statistics stay arrays
-    constructing = {m for m in LAYER if "DomainRecord" in constructed_names(m)}
-    assert constructing <= {"core", "dataio"}
+    constructing = {m for m in LAYER if record in constructed_names(m)}
+    assert constructing <= builders
 
 
 def test_parser_sees_every_import_form():
