@@ -35,17 +35,16 @@ def derive_seed(seed: int, *path: int) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-def uniform_block(
-    seed: int, path: tuple[int, ...], start: int, count: int, out: np.ndarray
-) -> np.ndarray:
-    """Uniform doubles at absolute positions ``[start, start + count)``, written into ``out``.
+def uniform_stream(seed: int, path: tuple[int, ...], start: int = 0) -> np.random.Generator:
+    """Generator over the stream ``(seed, path)``, positioned at absolute position ``start``.
 
     ``start`` must be a multiple of :data:`BLOCK` so the Philox counter can be
-    positioned exactly; callers pad their per-item strides accordingly. ``out``
-    is a contiguous 1-D float64 array of length ``count``; it is returned.
+    positioned exactly. A read of a multiple of :data:`BLOCK` uniforms ends on
+    a block boundary, so reading the stream in such pieces gives the uniforms
+    of one read, and of a fresh stream started at each piece's start.
     """
     if start % BLOCK:
         raise ValueError(f"block start must be a multiple of {BLOCK}, got {start}")
-    bitgen = np.random.Philox(seed=_seed_sequence(seed, path))
-    bitgen.advance(start // BLOCK)
-    return np.random.Generator(bitgen).random(count, out=out)
+    rng = substream(seed, *path)
+    rng.bit_generator.advance(start // BLOCK)
+    return rng

@@ -14,6 +14,7 @@ not given is ``None``); ``main`` then writes the run manifest, whose
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import sys
 
@@ -65,6 +66,15 @@ def _check_draws(draws: int) -> None:
         raise dataio.SchemaError(f"--draws must be >= 2 for the bootstrap, got {draws}")
 
 
+@contextlib.contextmanager
+def _values_of(path: str):
+    """Report a ``ValueError`` raised on a file's values as bad input in that file."""
+    try:
+        yield
+    except ValueError as exc:
+        raise dataio.SchemaError(f"{path}: {exc}") from None
+
+
 def _load_history_of_two(args: argparse.Namespace) -> list:
     """History for a command that compares rows with each other: at least 2 rows."""
     history = dataio.load_history(args.history)
@@ -77,7 +87,8 @@ def _load_history_of_two(args: argparse.Namespace) -> list:
 
 def _cmd_fit(args: argparse.Namespace) -> tuple[dict, dict]:
     history = dataio.load_history(args.history)
-    model = fit_mom(history)
+    with _values_of(args.history):
+        model = fit_mom(history)
     _emit_model_warnings(model)
     dataio.write_model(args.out, model)
     print(f"rho = {model.rho!r}")
@@ -93,7 +104,9 @@ def _cmd_adjust(args: argparse.Namespace) -> tuple[dict, dict]:
         raise dataio.SchemaError("give exactly one of --history or --model")
     target = dataio.load_target(args.target)
     if args.history is not None:
-        model = fit_mom(dataio.load_history(args.history))
+        history = dataio.load_history(args.history)
+        with _values_of(args.history):
+            model = fit_mom(history)
     else:
         model = dataio.load_model(args.model)
     _emit_model_warnings(model)
@@ -128,7 +141,8 @@ def _cmd_loo(args: argparse.Namespace) -> tuple[dict, dict]:
     if "bootstrap" in methods:
         _check_draws(args.draws)
 
-    try:
+    # the flags are checked above, so what is left is the history's values
+    with _values_of(args.history):
         rows = [
             (alpha, method, rate, width)
             for method in methods
@@ -136,9 +150,6 @@ def _cmd_loo(args: argparse.Namespace) -> tuple[dict, dict]:
                 history, alphas, method, bootstrap_draws=args.draws, seed=args.seed
             )
         ]
-    except ValueError as exc:
-        # the flags are checked above, so what is left is the history's values
-        raise dataio.SchemaError(f"{args.history}: {exc}") from None
 
     dataio.write_loo_table(args.out, rows)
     for alpha, method, rate, width in rows:
@@ -175,7 +186,8 @@ def _cmd_tune_context(args: argparse.Namespace) -> tuple[dict, dict]:
             f"but {args.history} has {n_context} context_* column(s)"
         )
 
-    profile = beta_profile(history, target_context, grid)
+    with _values_of(args.history):
+        profile = beta_profile(history, target_context, grid)
     beta_star, ll_star = best_beta(profile)
     try:
         weights = similarity_weights([r.context for r in history], target_context, beta_star)

@@ -83,14 +83,22 @@ def _squared_distances(
         return np.square(contexts - tgt).sum(axis=1)
 
 
+def _sq_exp(sq: np.ndarray, bandwidth: float) -> np.ndarray:
+    """Squared-exponential kernel ``exp(-sq / (2 bandwidth^2))`` of squared distances.
+
+    A bandwidth whose square leaves the float range gives kernels of 0, 1 or
+    nan without a numpy warning; callers check the weights they make.
+    """
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return np.exp(-sq / (2.0 * bandwidth * bandwidth))
+
+
 def _kernel_weights(sq: np.ndarray, beta: float) -> np.ndarray:
     """Normalized squared-exponential weights at bandwidth ``beta``, checked as
     :class:`ContextWeights` checks its weights."""
     if beta <= 0:
         raise ValueError(f"beta must be > 0, got {beta}")
-    # a bandwidth whose square leaves the float range gives weights rejected below
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        raw = np.exp(-sq / (2.0 * beta * beta))
+    raw = _sq_exp(sq, beta)
     total = raw.sum()
     if total == 0.0:
         raise ValueError("all similarities underflowed: target context lies outside history support")
@@ -112,9 +120,13 @@ def time_decay_weights(
         raise ValueError("one timestamp per history domain is required")
     if any(t is None or not math.isfinite(t) for t in history_times):
         raise ValueError("missing or non-finite timestamp in history")
-    gaps = np.asarray(history_times, dtype=float) - float(target_time)
-    kern = np.exp(-(gaps ** 2) / (2.0 * h * h))
-    raw = np.asarray(base.weights) * kern
+    if not math.isfinite(target_time):
+        raise ValueError(f"target timestamp must be finite, got {target_time}")
+    sq = _squared_distances([(t,) for t in history_times], (target_time,))
+    raw = np.asarray(base.weights) * _sq_exp(sq, h)
+    if np.isnan(raw).any():
+        # a zero gap over an underflowed 2 h^2, or an infinite one over an infinite 2 h^2
+        raise ValueError(f"time bandwidth h = {h!r} is out of range: 2 h^2 = {2.0 * h * h!r}")
     total = raw.sum()
     if total == 0.0:
         raise ValueError("all time-decay weights underflowed: history too distant in time")

@@ -19,6 +19,7 @@ from .intervals import (
     _bootstrap_draws,
     _BootWork,
     _check_alpha,
+    _quantiles,
     normal_quantile,
 )
 
@@ -74,7 +75,7 @@ def _loo_endpoints(
             gamma2[k] = _truncate(raw)
         proxy = _wald_endpoints(z, theta_star - rho, var_proxy + gamma2)
     else:
-        levels = [alpha / 2.0 for alpha in alphas] + [1.0 - alpha / 2.0 for alpha in alphas]
+        levels = np.array([alpha / 2.0 for alpha in alphas] + [1.0 - alpha / 2.0 for alpha in alphas])
         q = np.empty((len(levels), len(history)))
         # every held-out fit resamples K - 1 domains, so one set of buffers serves all
         work = _BootWork.for_draws(len(history) - 1, bootstrap_draws)
@@ -83,7 +84,7 @@ def _loo_endpoints(
                 np.delete(d, k), np.delete(dv, k), theta_star[k], var_proxy[k],
                 bootstrap_draws, derive_seed(seed, k), work,
             )
-            q[:, k] = np.quantile(samples, levels, overwrite_input=True)
+            q[:, k] = _quantiles(samples, levels)
         proxy = q[: len(alphas)], q[len(alphas) :]
     if not np.isfinite(proxy).all():
         raise ValueError("held-out proxy interval endpoints must be finite")

@@ -14,18 +14,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._rng import BLOCK, uniform_block
+from ._rng import BLOCK, uniform_stream
 from .core import BiasModel, TargetRecord, _moments, _truncate, debias
 
 DEFAULT_BOOTSTRAP_DRAWS = 4000
 
 # Draws are materialized in chunks whose uniform block takes at most this many
-# bytes (at least one draw); the per-draw stream addressing makes the result
-# independent of the chunking. A call allocates its chunk buffers, about three
-# times this size, once, and every chunk reuses them. On K = 60 and K = 800
-# bootstraps 1 MiB ran as fast as 2 and 4 MiB in less memory; 256 and 512 KiB
-# ran slower.
-_BOOT_CHUNK_BYTES = 1 << 20
+# bytes (at least one draw), read in order from one stream per call, so the
+# result is independent of the chunking. A call allocates its buffers once:
+# the chunk's, about three times this size, and a batch's, 16 bytes for each of
+# 1/128 this many draws, whose normal quantiles _ndtri takes in one call (about
+# 53 bytes a draw more while it runs). On a 2-core machine, K = 25, 60 and 800
+# bootstraps ran equally fast, within the noise, at 128, 256 and 512 KiB and
+# 1 MiB; the peak RSS of `proxycal loo --method bootstrap` on K = 60 read 36.3,
+# 36.7 and 37.4 MB at the three smaller sizes.
+_BOOT_CHUNK_BYTES = 1 << 18
 
 # Sub-path tag for the bootstrap uniform stream.
 _BOOT_PATH = (0,)
@@ -165,33 +168,40 @@ def _draw_stride(m: int) -> int:
 
 
 class _BootWork:
-    """Buffers for chunks of up to ``chunk`` bootstrap draws over ``m`` domains.
+    """Buffers for chunks of up to ``chunk`` bootstrap draws over ``m`` domains,
+    in batches of up to ``batch`` draws (one chunk by default).
 
     ``u`` holds a chunk's uniforms and, once they are turned into the indices
     ``idx``, its resampled differences; ``dv`` holds the resampled variances.
-    One set serves any number of :func:`_bootstrap_draws` calls over ``m``
-    domains; every chunk overwrites whatever an earlier one left.
+    ``un`` holds each draw of a batch's normal uniform, and ``g`` its raw
+    between-domain variance, later its scale. One set serves any number of
+    :func:`_bootstrap_draws` calls over ``m`` domains; every chunk and batch
+    overwrites whatever an earlier one left.
 
-    The three are views of one allocation. glibc raises its mmap threshold to
+    The five are views of one allocation. glibc raises its mmap threshold to
     the size of a freed mapped block, so a later block of that size is reused
-    from the heap. Three separate buffers each stay below a threshold that an
+    from the heap. Separate buffers each stay below a threshold that an
     earlier, smaller block set, yet together exceed its trim threshold (twice
     it); whether the heap then hands them back to the system after every call,
     and faults them in again on the next, depends on what else it holds.
     """
 
-    def __init__(self, m: int, chunk: int) -> None:
-        self.chunk = chunk
-        n_u, n = chunk * _draw_stride(m), chunk * m
-        block = np.empty(8 * (n_u + n) + np.dtype(np.intp).itemsize * n, dtype=np.uint8)
-        self.u = block[: 8 * n_u].view(np.float64)
-        self.dv = block[8 * n_u : 8 * (n_u + n)].view(np.float64).reshape(chunk, m)
-        self.idx = block[8 * (n_u + n) :].view(np.intp).reshape(chunk, m)
+    def __init__(self, m: int, chunk: int, batch: int | None = None) -> None:
+        self.chunk, self.batch = chunk, batch or chunk
+        n_u, n, b = chunk * _draw_stride(m), chunk * m, self.batch
+        block = np.empty(8 * (n_u + n + 2 * b) + np.dtype(np.intp).itemsize * n, dtype=np.uint8)
+        floats = block[: 8 * (n_u + n + 2 * b)].view(np.float64)
+        self.u, self.un, self.g = floats[:n_u], floats[n_u : n_u + b], floats[n_u + b : n_u + 2 * b]
+        self.dv = floats[n_u + 2 * b :].reshape(chunk, m)
+        self.idx = block[8 * (n_u + n + 2 * b) :].view(np.intp).reshape(chunk, m)
 
     @classmethod
     def for_draws(cls, m: int, draws: int) -> _BootWork:
-        """Buffers whose chunk holds at most :data:`_BOOT_CHUNK_BYTES` of uniforms."""
-        return cls(m, max(1, min(draws, _BOOT_CHUNK_BYTES // (8 * _draw_stride(m)))))
+        """Buffers whose chunk holds at most :data:`_BOOT_CHUNK_BYTES` of uniforms, and
+        whose batch at most 1/128 of that many draws (see :data:`_BOOT_CHUNK_BYTES`)."""
+        batch = max(1, min(draws, _BOOT_CHUNK_BYTES // 128))
+        chunk = max(1, min(batch, _BOOT_CHUNK_BYTES // (8 * _draw_stride(m))))
+        return cls(m, chunk, batch)
 
 
 def _bootstrap_draws(
@@ -207,35 +217,71 @@ def _bootstrap_draws(
 
     Draw ``b`` consumes a fixed block of the uniform stream determined only by
     ``(seed, b)``: ``len(d)`` uniforms select the resampled domains and one
-    more feeds an inverse-CDF normal. The replicates are therefore the same
-    whatever chunk ``work`` holds. ``work`` must be built for ``len(d)``
-    domains; every chunk overwrites its buffers.
+    more feeds an inverse-CDF normal. One stream is read in order, a chunk at
+    a time, and each chunk is a whole number of blocks, so the replicates are
+    the same whatever chunk and batch ``work`` holds. ``work`` must be built
+    for ``len(d)`` domains; every chunk and batch overwrites its buffers.
     """
     if draws < 2:
         raise ValueError(f"draws must be >= 2, got {draws}")
     m = len(d)
     stride = _draw_stride(m)
+    stream = uniform_stream(seed, _BOOT_PATH)
     samples = np.empty(draws)
-    for start in range(0, draws, work.chunk):
-        n = min(work.chunk, draws - start)
-        u = uniform_block(seed, _BOOT_PATH, start * stride, n * stride, out=work.u[: n * stride])
-        u = u.reshape(n, stride)
+    for start in range(0, draws, work.batch):
+        stop = min(start + work.batch, draws)
+        for lo in range(start, stop, work.chunk):
+            n = min(work.chunk, stop - lo)
+            part = slice(lo - start, lo - start + n)
+            u = stream.random(n * stride, out=work.u[: n * stride]).reshape(n, stride)
+            work.un[part] = u[:, m]
+            scaled = np.multiply(u[:, :m], m, out=u[:, :m])
+            idx = work.idx[:n]
+            np.copyto(idx, scaled, casting="unsafe")
+            # a uniform below 1 times m truncates into [0, m - 1]; "clip" clamps to
+            # that range all the same and, unlike the default "raise", writes
+            # straight into ``out`` instead of a buffer
+            d_b = np.take(d, idx, out=work.u[: n * m].reshape(n, m), mode="clip")
+            dv_b = np.take(dv, idx, out=work.dv[:n], mode="clip")
+            rho_b, work.g[part] = _moments(d_b, dv_b, scratch=d_b)
+            # theta_star - rho_b now, plus scale * z once the batch is drawn
+            np.subtract(theta_star, rho_b, out=samples[lo : lo + n])
 
-        # the shift keeps the normal's uniform above 0 for the inverse CDF; it
-        # rounds the largest uniform below 1 up to 1, so the sum is clamped below 1
-        z = _ndtri(np.minimum(u[:, m] + 2.0 ** -54, np.nextafter(1.0, 0.0)))
-        scaled = np.multiply(u[:, :m], m, out=u[:, :m])
-        idx = work.idx[:n]
-        np.copyto(idx, scaled, casting="unsafe")
-        # a uniform below 1 times m truncates into [0, m - 1]; "clip" clamps to
-        # that range all the same and, unlike the default "raise", writes
-        # straight into ``out`` instead of a buffer
-        d_b = np.take(d, idx, out=work.u[: n * m].reshape(n, m), mode="clip")
-        dv_b = np.take(dv, idx, out=work.dv[:n], mode="clip")
-        rho_b, gamma2_b = _moments(d_b, dv_b, scratch=d_b)
-        scale = np.sqrt(var_proxy + _truncate(gamma2_b))
-        samples[start : start + n] = (theta_star - rho_b) + scale * z
+        # one _ndtri call and the scale per batch; the shift keeps the normal's
+        # uniform above 0 for the inverse CDF; it rounds the largest uniform
+        # below 1 up to 1, so the sum is clamped below 1
+        un, g = work.un[: stop - start], work.g[: stop - start]
+        z = _ndtri(np.minimum(np.add(un, 2.0 ** -54, out=un), np.nextafter(1.0, 0.0), out=un))
+        scale = np.sqrt(np.add(var_proxy, _truncate(g), out=g), out=g)
+        samples[start:stop] += np.multiply(scale, z, out=scale)
     return samples
+
+
+def _quantiles(a: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """``np.quantile(a, levels)`` by its default ``linear`` rule, bit for bit.
+
+    ``a`` is partitioned in place at the order statistics the levels need, so
+    it must be the caller's own. np.quantile would also import ``numpy.ma``
+    (through ``np.unique``): about 1.3 MB of RSS and 16 ms in a fresh process
+    on a 2-core machine.
+    """
+    n = len(a)
+    index = (n - 1) * levels
+    # at or past the last index both neighbours are the last element, as in numpy
+    top, floor = index >= n - 1, np.floor(index)
+    below = np.where(top, -1, floor).astype(np.intp)
+    above = np.where(top, -1, floor + 1).astype(np.intp)
+    # numpy's order statistics, first and last included: the same kth list moves
+    # equal values (0.0 and -0.0) alike; a NaN partitions to the end and is every quantile
+    a.partition(sorted({0, -1, *below.tolist(), *above.tolist()}))
+    if np.isnan(a[-1]):
+        return np.full(len(levels), a[-1])
+    x, y = a[below], a[above]
+    gamma = index - below
+    diff = y - x
+    out = x + diff * gamma
+    np.subtract(y, diff * (1.0 - gamma), out=out, where=gamma >= 0.5)
+    return out
 
 
 def bootstrap_interval(
@@ -257,10 +303,8 @@ def bootstrap_interval(
     """
     _check_alpha(alpha)
     d, dv = np.array(model.diffs), np.array(model.diff_vars)
-    # passed, not held, so the work set is freed before the quantiles run: held
-    # through them, it adds 1.2-1.8 MB to the peak RSS, though not to the traced peak
+    # passed, not held, so the work set is freed before the quantiles run
     samples = _bootstrap_draws(d, dv, target.theta_star_hat, target.var_proxy, draws, seed,
                                _BootWork.for_draws(len(d), draws))
-    # the replicates are this call's own, so the quantiles partition them in place
-    lower, upper = np.quantile(samples, [alpha / 2.0, 1.0 - alpha / 2.0], overwrite_input=True)
+    lower, upper = _quantiles(samples, np.array([alpha / 2.0, 1.0 - alpha / 2.0]))
     return ConfidenceInterval(float(lower), float(upper), 1.0 - alpha)

@@ -479,9 +479,9 @@ class TestCliFit:
     @pytest.mark.parametrize("big, messages", [
         ("1e308", dict.fromkeys(HISTORY_COMMANDS, "{hist}: row 3: b: theta_star_hat - theta_hat "
                                                   "must be finite, got -inf")),
-        ("1e200", {"fit": "gamma2 must be finite, got inf",
-                   "adjust": "gamma2 must be finite, got inf",
-                   "tune-context": "gamma2 must be finite, got nan"}),
+        ("1e200", {"fit": "{hist}: gamma2 must be finite, got inf",
+                   "adjust": "{hist}: gamma2 must be finite, got inf",
+                   "tune-context": "{hist}: gamma2 must be finite, got nan"}),
     ], ids=["1e308", "1e200"])
     @pytest.mark.parametrize("command", HISTORY_COMMANDS)
     def test_out_of_range_history_prints_one_error_line(
@@ -492,6 +492,19 @@ class TestCliFit:
         assert main(argv) == 2
         message = messages.get(command, "{hist}: held-out proxy interval endpoints must be finite")
         assert capsys.readouterr().err == f"error: {message.format(hist=hist)}\n"
+        assert not (tmp_path / "out.txt").exists()
+        assert not manifest_path(tmp_path / "out.txt").exists()
+
+    # finite rows whose squared deviations overflow: the fit fails, and the file is named
+    @pytest.mark.parametrize("command", ["fit", "adjust", "tune-context"])
+    def test_overflowing_fit_names_file(self, tmp_path, capsys, command):
+        rows = [f"{name},0.5,{big},0.005,0.005,0.0025"
+                for name, big in zip("abc", ["1e200", "-1e200", "3e200"])]
+        hist, argv = history_argv(tmp_path, command, rows)
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {hist}: gamma2 must be finite, got ")
+        assert err.count("\n") == 1
         assert not (tmp_path / "out.txt").exists()
         assert not manifest_path(tmp_path / "out.txt").exists()
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +114,26 @@ class TestTimeDecayWeights:
             time_decay_weights(base, [0.0, None], 0.0, h=1.0)
         with pytest.raises(ValueError):
             time_decay_weights(base, [0.0, 1.0], 0.0, h=0.0)
+
+    # 2 h^2 underflows to 0: a zero gap gives 0/0, every other gap -inf
+    @pytest.mark.parametrize("target, match", [
+        (0.0, r"time bandwidth h = 1e-200 is out of range: 2 h\^2 = 0.0"),
+        (0.5, "all time-decay weights underflowed"),
+    ], ids=["zero-gap", "nonzero-gaps"])
+    def test_underflowing_bandwidth_named(self, target, match):
+        base = ContextWeights((0.5, 0.5), beta=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                time_decay_weights(base, [0.0, 1.0], target, h=1e-200)
+
+    def test_overflowing_gap_named(self):
+        # the squared gaps, 1e400 and 4e400, leave the float range
+        base = ContextWeights((0.5, 0.5), beta=1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="all time-decay weights underflowed"):
+                time_decay_weights(base, [0.0, 1e200], -1e200, h=1.0)
 
     def test_renormalized_probability_vector(self):
         base = ContextWeights((0.2, 0.3, 0.5), beta=2.0)

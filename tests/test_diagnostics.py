@@ -358,14 +358,14 @@ class TestSinglePass:
     def test_bootstrap_drawn_once_per_held_out_domain(self, monkeypatch):
         import proxycal.intervals as intervals
 
-        blocks = []
-        original = intervals.uniform_block
+        streams = []
+        original = intervals.uniform_stream
 
-        def counted(seed, path, start, count, out):
-            blocks.append(seed)
-            return original(seed, path, start, count, out=out)
+        def counted(seed, path, start=0):
+            streams.append(seed)
+            return original(seed, path, start)
 
-        monkeypatch.setattr(intervals, "uniform_block", counted)
+        monkeypatch.setattr(intervals, "uniform_stream", counted)
         history = outlier_history()
         loo_table(history, self.ALPHAS, "bootstrap", bootstrap_draws=500, seed=3)
-        assert blocks == [derive_seed(3, k) for k in range(len(history))]
+        assert streams == [derive_seed(3, k) for k in range(len(history))]

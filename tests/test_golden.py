@@ -201,8 +201,8 @@ def test_cli_import_loads_no_scipy():
 
 SIMULATOR = ["proxycal.simulation", "concurrent.futures"]
 
-# after each command, the modules of the simulator that are loaded
-SIMULATOR_LOADED = """\
+# after each command, which of the given modules are loaded
+MODULES_LOADED = """\
 import json, sys
 from proxycal.cli import main
 loaded = []
@@ -219,8 +219,15 @@ def test_only_simulate_loads_the_simulator(files):
              [a.format(**files) for a in ["adjust", "--model", "{dir}/fit.out", "--target", "{target}",
                                           "--method", "plugin", "--out", "{dir}/adjust-model.out"]]]
     argv = [*plain, *command_runs(files, ["simulate"]).values()]
-    stdout = run_python(SIMULATOR_LOADED, json.dumps(argv), json.dumps(SIMULATOR))
+    stdout = run_python(MODULES_LOADED, json.dumps(argv), json.dumps(SIMULATOR))
     assert json.loads(stdout.splitlines()[-1]) == [[]] * len(plain) + [SIMULATOR]
+
+
+def test_no_command_loads_numpy_ma(files):
+    # np.quantile would, through np.unique: bootstrap adjust, loo and simulate take quantiles
+    argv = list(command_runs(files, COMMANDS).values())
+    stdout = run_python(MODULES_LOADED, json.dumps(argv), json.dumps(["numpy.ma"]))
+    assert json.loads(stdout.splitlines()[-1]) == [[]] * len(argv)
 
 
 def test_package_root_imports_a_module_on_first_use():

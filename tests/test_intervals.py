@@ -1,10 +1,11 @@
+import itertools
 import math
 import tracemalloc
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from proxycal import (
@@ -22,7 +23,7 @@ from proxycal import (
     wald_interval,
 )
 from proxycal.core import diff_arrays
-from proxycal.intervals import _bootstrap_draws, _BootWork, _ndtri
+from proxycal.intervals import _bootstrap_draws, _BootWork, _ndtri, _quantiles
 
 from reference import bootstrap_mixture_quantile, normal_quantile_reference
 
@@ -184,6 +185,21 @@ def history_of(pairs):
     ]
 
 
+def stream_through(monkeypatch, edit):
+    """Pass every read of the bootstrap's uniform stream through ``edit``, which
+    may change the uniforms in place and returns them."""
+    opened = intervals.uniform_stream
+
+    class Stream:
+        def __init__(self, seed, path, start=0):
+            self.rng = opened(seed, path, start)
+
+        def random(self, size, out):
+            return edit(self.rng.random(size, out=out))
+
+    monkeypatch.setattr(intervals, "uniform_stream", Stream)
+
+
 class TestDomainBootstrap:
     def test_single_domain_matches_plugin(self):
         history = history_of([(0.1, 0.0)])
@@ -226,8 +242,9 @@ class TestDomainBootstrap:
         d = np.array([0.05, 0.2, -0.1])
         dv = np.array([0.001, 0.002, 0.004])
         full = _bootstrap_draws(d, dv, 0.7, 0.003, 5000, 42, _BootWork(3, 5000))
-        for chunk in (1, 137, 2100):
-            pieces = _bootstrap_draws(d, dv, 0.7, 0.003, 5000, 42, _BootWork(3, chunk))
+        # batches of one chunk, of several chunks, and cutting chunks short
+        for chunk, batch in [(1, None), (137, 1000), (2100, 300)]:
+            pieces = _bootstrap_draws(d, dv, 0.7, 0.003, 5000, 42, _BootWork(3, chunk, batch))
             assert np.array_equal(full, pieces)
 
     @pytest.mark.parametrize("m", [1, 3, 5, 1000])
@@ -237,14 +254,12 @@ class TestDomainBootstrap:
         rng = np.random.default_rng(m)
         d, dv = rng.normal(0.1, 0.2, m), rng.uniform(0.0, 0.01, m)
         draws, stride = 64, intervals._draw_stride(m)
-        drawn = intervals.uniform_block
 
-        def top(seed, path, start, count, out):
-            u = drawn(seed, path, start, count, out=out)
+        def top(u):
             u.reshape(-1, stride)[:, :m] = np.nextafter(1.0, 0.0)
             return u
 
-        monkeypatch.setattr(intervals, "uniform_block", top)
+        stream_through(monkeypatch, top)
         work = _BootWork(m, draws)
         samples = _bootstrap_draws(d, dv, 0.7, 0.003, draws, 5, work)
         assert (work.idx == m - 1).all()
@@ -260,14 +275,12 @@ class TestDomainBootstrap:
         rng = np.random.default_rng(m)
         d, dv = rng.normal(0.1, 0.2, m), rng.uniform(0.0, 0.01, m)
         draws, stride = 64, intervals._draw_stride(m)
-        drawn = intervals.uniform_block
 
-        def top(seed, path, start, count, out):
-            u = drawn(seed, path, start, count, out=out)
+        def top(u):
             u.reshape(-1, stride)[:, m] = np.nextafter(1.0, 0.0)
             return u
 
-        monkeypatch.setattr(intervals, "uniform_block", top)
+        stream_through(monkeypatch, top)
         samples = _bootstrap_draws(d, dv, 0.7, 0.003, draws, 5, _BootWork(m, draws))
         assert np.isfinite(samples).all()
 
@@ -279,14 +292,14 @@ class TestDomainBootstrap:
         target = TargetRecord("t", 0.7, 0.003)
         uniforms_per_draw = 4 * -(-(k + 1) // 4)
         chunks = []
-        drawn = intervals.uniform_block
 
-        def recorded(seed, path, start, count, out):
-            start_draw = start // uniforms_per_draw
-            chunks.append((start_draw, start_draw + count // uniforms_per_draw))
-            return drawn(seed, path, start, count, out=out)
+        def recorded(u):
+            # the stream is read in order, so each read starts where the last ended
+            start_draw = chunks[-1][1] if chunks else 0
+            chunks.append((start_draw, start_draw + u.size // uniforms_per_draw))
+            return u
 
-        monkeypatch.setattr(intervals, "uniform_block", recorded)
+        stream_through(monkeypatch, recorded)
         got = bootstrap_interval(target, fit_mom(history), 0.1, draws=draws, seed=4)
         assert len(chunks) > 1
         assert [a for a, _ in chunks[1:]] == [b for _, b in chunks[:-1]]
@@ -328,6 +341,8 @@ class TestDomainBootstrap:
         # stale values that a missed write would leak: NaN, and an index one past the end
         work.u.fill(np.nan)
         work.dv.fill(np.nan)
+        work.un.fill(np.nan)
+        work.g.fill(np.nan)
         work.idx.fill(m)
         for i, (draws, seed) in enumerate(calls):
             # each call rotates the domains, as each held-out domain of a LOO pass differs
@@ -338,15 +353,19 @@ class TestDomainBootstrap:
 
     @pytest.mark.parametrize("m, chunk", [(1, 1), (24, 4000), (59, 2184)])
     def test_work_set_is_disjoint_views_of_one_block(self, m, chunk):
-        work = intervals._BootWork(m, chunk)
-        views = (work.u, work.dv, work.idx)
+        batch = 2048
+        work = intervals._BootWork(m, chunk, batch)
+        views = (work.u, work.dv, work.idx, work.un, work.g)
         assert [(v.shape, v.dtype) for v in views] == [
             ((chunk * intervals._draw_stride(m),), np.float64),
             ((chunk, m), np.float64),
             ((chunk, m), np.intp),
+            ((batch,), np.float64),
+            ((batch,), np.float64),
         ]
-        assert work.u.base is work.dv.base is work.idx.base is not None
-        assert not any(np.shares_memory(a, b) for a, b in [views[:2], views[1:], views[::2]])
+        assert work.u.base is work.dv.base is work.idx.base is work.un.base is work.g.base
+        assert work.u.base is not None
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(views, 2))
 
     def test_translation_equivariance(self):
         history = history_of([(0.05, 0.001), (0.2, 0.002), (-0.1, 0.004)])
@@ -364,6 +383,59 @@ class TestDomainBootstrap:
             bootstrap_interval(target, fit_mom(history_of([(0.1, 0.0)])), 0.05, draws=1, seed=0)
         with pytest.raises(ValueError):
             bootstrap_interval(target, fit_mom(history_of([(0.1, 0.0)])), 1.5, draws=100, seed=0)
+
+
+LEVELS = st.one_of(st.floats(0.0, 1.0), st.sampled_from([0.0, 1e-12, 0.5, 1.0 - 1e-12, 1.0]))
+
+
+class TestQuantiles:
+    """The bootstrap's quantiles are np.quantile's default linear rule, bit for bit."""
+
+    @staticmethod
+    def assert_numpy_equal(a, levels):
+        a, levels = np.array(a, dtype=float), np.array(levels, dtype=float)
+        expected = np.quantile(a, levels)
+        got = _quantiles(a.copy(), levels)
+        assert got.tobytes() == expected.tobytes()
+
+    # ties, signed zeros and infinities among ordinary values
+    @given(a=st.lists(st.one_of(st.floats(-1e6, 1e6),
+                                st.sampled_from([-0.0, 0.0, 1.0, -math.inf, math.inf])),
+                      min_size=2, max_size=300),
+           levels=st.lists(LEVELS, min_size=1, max_size=6))
+    def test_any_values(self, a, levels):
+        with np.errstate(invalid="ignore"):  # inf - inf, as in numpy
+            self.assert_numpy_equal(a, levels)
+
+    @given(value=st.floats(-1e6, 1e6), n=st.integers(2, 300), levels=st.lists(LEVELS, min_size=1))
+    def test_all_equal(self, value, n, levels):
+        self.assert_numpy_equal([value] * n, levels)
+
+    @given(a=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=300), data=st.data())
+    def test_integer_virtual_indexes(self, a, data):
+        # (n - 1) q an integer: no interpolation, or a neighbour weighted by 0
+        ks = data.draw(st.lists(st.integers(0, len(a) - 1), min_size=1, max_size=4))
+        levels = [k / (len(a) - 1) for k in ks]
+        assume(all((len(a) - 1) * q == k for q, k in zip(levels, ks)))
+        self.assert_numpy_equal(a, levels)
+
+    @given(a=st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=300),
+           alphas=st.lists(st.floats(1e-6, 0.999), min_size=1, max_size=4))
+    def test_loo_levels(self, a, alphas):
+        # every lower level, then every upper one, as one held-out domain takes them
+        self.assert_numpy_equal(a, [x / 2.0 for x in alphas] + [1.0 - x / 2.0 for x in alphas])
+
+    @given(a=st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=300), data=st.data(),
+           nan=st.sampled_from([math.nan, -math.nan]), levels=st.lists(LEVELS, min_size=1, max_size=6))
+    def test_nan_entry(self, a, data, nan, levels):
+        # either sign: the NaN itself is every quantile
+        a.insert(data.draw(st.integers(0, len(a))), nan)
+        self.assert_numpy_equal(a, levels)
+
+    def test_partitions_in_place(self):
+        a = np.array([3.0, 1.0, 2.0, 0.0])
+        assert _quantiles(a, np.array([0.0, 1.0])).tolist() == [0.0, 3.0]
+        assert (a[0], a[-1]) == (0.0, 3.0)
 
 
 class TestBootstrapMemory:
