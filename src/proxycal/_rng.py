@@ -34,17 +34,3 @@ def derive_seed(seed: int, *path: int) -> int:
     ss = _seed_sequence(seed, path)
     return int(ss.generate_state(1, np.uint64)[0])
 
-
-def uniform_stream(seed: int, path: tuple[int, ...], start: int = 0) -> np.random.Generator:
-    """Generator over the stream ``(seed, path)``, positioned at absolute position ``start``.
-
-    ``start`` must be a multiple of :data:`BLOCK` so the Philox counter can be
-    positioned exactly. A read of a multiple of :data:`BLOCK` uniforms ends on
-    a block boundary, so reading the stream in such pieces gives the uniforms
-    of one read, and of a fresh stream started at each piece's start.
-    """
-    if start % BLOCK:
-        raise ValueError(f"block start must be a multiple of {BLOCK}, got {start}")
-    rng = substream(seed, *path)
-    rng.bit_generator.advance(start // BLOCK)
-    return rng

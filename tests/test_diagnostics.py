@@ -359,13 +359,13 @@ class TestSinglePass:
         import proxycal.intervals as intervals
 
         streams = []
-        original = intervals.uniform_stream
+        original = intervals.substream
 
-        def counted(seed, path, start=0):
+        def counted(seed, *path):
             streams.append(seed)
-            return original(seed, path, start)
+            return original(seed, *path)
 
-        monkeypatch.setattr(intervals, "uniform_stream", counted)
+        monkeypatch.setattr(intervals, "substream", counted)
         history = outlier_history()
         loo_table(history, self.ALPHAS, "bootstrap", bootstrap_draws=500, seed=3)
         assert streams == [derive_seed(3, k) for k in range(len(history))]

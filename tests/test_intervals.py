@@ -188,16 +188,16 @@ def history_of(pairs):
 def stream_through(monkeypatch, edit):
     """Pass every read of the bootstrap's uniform stream through ``edit``, which
     may change the uniforms in place and returns them."""
-    opened = intervals.uniform_stream
+    opened = intervals.substream
 
     class Stream:
-        def __init__(self, seed, path, start=0):
-            self.rng = opened(seed, path, start)
+        def __init__(self, seed, *path):
+            self.rng = opened(seed, *path)
 
         def random(self, size, out):
             return edit(self.rng.random(size, out=out))
 
-    monkeypatch.setattr(intervals, "uniform_stream", Stream)
+    monkeypatch.setattr(intervals, "substream", Stream)
 
 
 class TestDomainBootstrap:
@@ -241,9 +241,9 @@ class TestDomainBootstrap:
     def test_draw_blocks_are_order_independent(self):
         d = np.array([0.05, 0.2, -0.1])
         dv = np.array([0.001, 0.002, 0.004])
-        full = _bootstrap_draws(d, dv, 0.7, 0.003, 5000, 42, _BootWork(3, 5000))
+        full = _bootstrap_draws(d, dv, 0.7, 0.003, 5000, 42, _BootWork(3, 5000, 5000))
         # batches of one chunk, of several chunks, and cutting chunks short
-        for chunk, batch in [(1, None), (137, 1000), (2100, 300)]:
+        for chunk, batch in [(1, 1), (137, 1000), (2100, 300)]:
             pieces = _bootstrap_draws(d, dv, 0.7, 0.003, 5000, 42, _BootWork(3, chunk, batch))
             assert np.array_equal(full, pieces)
 
@@ -260,11 +260,11 @@ class TestDomainBootstrap:
             return u
 
         stream_through(monkeypatch, top)
-        work = _BootWork(m, draws)
+        work = _BootWork(m, draws, draws)
         samples = _bootstrap_draws(d, dv, 0.7, 0.003, draws, 5, work)
         assert (work.idx == m - 1).all()
         last = _bootstrap_draws(np.full(m, d[-1]), np.full(m, dv[-1]), 0.7, 0.003, draws, 5,
-                                _BootWork(m, draws))
+                                _BootWork(m, draws, draws))
         assert np.isfinite(samples).all()
         assert samples.tobytes() == last.tobytes()
 
@@ -281,7 +281,7 @@ class TestDomainBootstrap:
             return u
 
         stream_through(monkeypatch, top)
-        samples = _bootstrap_draws(d, dv, 0.7, 0.003, draws, 5, _BootWork(m, draws))
+        samples = _bootstrap_draws(d, dv, 0.7, 0.003, draws, 5, _BootWork(m, draws, draws))
         assert np.isfinite(samples).all()
 
     def test_chunks_bounded_by_bytes(self, monkeypatch):
@@ -307,7 +307,7 @@ class TestDomainBootstrap:
         assert all(8 * uniforms_per_draw * (b - a) <= intervals._BOOT_CHUNK_BYTES
                    for a, b in chunks)
         d, dv = diff_arrays(history)
-        samples = _bootstrap_draws(d, dv, 0.7, 0.003, draws, 4, _BootWork(k, draws))
+        samples = _bootstrap_draws(d, dv, 0.7, 0.003, draws, 4, _BootWork(k, draws, draws))
         lower, upper = np.quantile(samples, [0.05, 0.95])
         assert (got.lower, got.upper) == (lower, upper)
 
@@ -348,7 +348,7 @@ class TestDomainBootstrap:
             # each call rotates the domains, as each held-out domain of a LOO pass differs
             d_i, dv_i = np.roll(d, i), np.roll(dv, i)
             reused = _bootstrap_draws(d_i, dv_i, 0.6, 0.002, draws, seed, work)
-            fresh = _bootstrap_draws(d_i, dv_i, 0.6, 0.002, draws, seed, _BootWork(m, draws))
+            fresh = _bootstrap_draws(d_i, dv_i, 0.6, 0.002, draws, seed, _BootWork(m, draws, draws))
             assert reused.tobytes() == fresh.tobytes()
 
     @pytest.mark.parametrize("m, chunk", [(1, 1), (24, 4000), (59, 2184)])
@@ -472,7 +472,7 @@ class TestBootstrapMemory:
 
     @pytest.mark.parametrize("shrink", [1, 16])
     def test_replicates_are_the_only_per_draw_memory(self, monkeypatch, shrink):
-        # np.quantile partitions the replicates in place; a sorted copy would
+        # _quantiles partitions the replicates in place; a sorted copy would
         # take another 8 bytes a draw, 4 MB here
         monkeypatch.setattr(intervals, "_BOOT_CHUNK_BYTES", intervals._BOOT_CHUNK_BYTES // shrink)
         k, draws = 25, 500_000

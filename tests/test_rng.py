@@ -1,35 +1,30 @@
 import numpy as np
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from proxycal._rng import BLOCK, uniform_stream
+from proxycal._rng import BLOCK, substream
 
 
 @given(
     seed=st.integers(0, 2**64 - 1),
-    start=st.integers(0, 50).map(lambda b: BLOCK * b),
     blocks=st.lists(st.integers(0, 40), min_size=1, max_size=8),
 )
-def test_pieces_equal_one_read_and_fresh_streams(seed, start, blocks):
+def test_pieces_equal_one_read_and_fresh_streams(seed, blocks):
     counts = [BLOCK * b for b in blocks]
-    whole = uniform_stream(seed, (0,), start).random(sum(counts))
-    stream = uniform_stream(seed, (0,), start)
-    at = start
+    whole = substream(seed, 0).random(sum(counts))
+    stream = substream(seed, 0)
+    at = 0
     for count in counts:
         piece = stream.random(count)
-        assert piece.tobytes() == whole[at - start : at - start + count].tobytes()
-        assert piece.tobytes() == uniform_stream(seed, (0,), at).random(count).tobytes()
+        assert piece.tobytes() == whole[at : at + count].tobytes()
+        # a fresh stream moved on by whole Philox blocks starts where the piece does
+        fresh = substream(seed, 0)
+        fresh.bit_generator.advance(at // BLOCK)
+        assert piece.tobytes() == fresh.random(count).tobytes()
         at += count
 
 
 def test_paths_are_distinct_streams():
-    a = uniform_stream(3, (0,)).random(8)
-    assert not np.array_equal(a, uniform_stream(3, (1,)).random(8))
-    assert not np.array_equal(a, uniform_stream(4, (0,)).random(8))
-
-
-@pytest.mark.parametrize("start", [1, 2, 3, 4 * 7 + 1])
-def test_start_must_be_block_aligned(start):
-    with pytest.raises(ValueError, match=f"multiple of {BLOCK}, got {start}"):
-        uniform_stream(0, (0,), start)
+    a = substream(3, 0).random(8)
+    assert not np.array_equal(a, substream(3, 1).random(8))
+    assert not np.array_equal(a, substream(4, 0).random(8))
