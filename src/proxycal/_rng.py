@@ -1,9 +1,9 @@
 """Deterministic random-stream addressing.
 
 Every stochastic component draws from a Philox counter-based stream addressed
-by ``(seed, path)``. Streams with distinct paths are independent, and any
-contiguous block of a stream can be produced in isolation, so work may be
-split across workers in any order without changing a single bit of output.
+by ``(seed, path)``. Streams with distinct paths are independent, so work
+given its own path may be split across workers in any order without changing
+a single bit of output.
 """
 
 from __future__ import annotations

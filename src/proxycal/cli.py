@@ -28,7 +28,7 @@ from .contextual import (
 )
 from .core import debias, fit_mom
 from .diagnostics import METHODS, loo_table
-from .intervals import DEFAULT_BOOTSTRAP_DRAWS, bootstrap_interval, plugin_interval
+from .intervals import DEFAULT_BOOTSTRAP_DRAWS, _check_alpha, bootstrap_interval, plugin_interval
 
 EXIT_OK = 0
 EXIT_INTERNAL = 1
@@ -57,8 +57,11 @@ def _parse_float_list(text: str, flag: str) -> list[float]:
 
 
 def _check_alphas(alphas: list[float], text: str | float) -> None:
-    if not all(0.0 < a < 1.0 for a in alphas):
-        raise dataio.SchemaError(f"--alpha values must lie in (0, 1), got {text!r}")
+    try:
+        for alpha in alphas:
+            _check_alpha(alpha)
+    except ValueError:
+        raise dataio.SchemaError(f"--alpha values must lie in (2**-53, 1), got {text!r}") from None
 
 
 def _check_draws(draws: int) -> None:

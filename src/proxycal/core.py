@@ -174,9 +174,10 @@ def _moments(
     """``(rho, gamma2 before truncation)`` of the moment fit along the last axis.
 
     Leading axes of ``d`` (differences) and ``dv`` (their variances) index
-    independent fits. A 1-D weight vector ``w`` summing to one replaces the
-    plain means. When ``scratch`` (an array shaped like ``d``, which may be
-    ``d`` itself) is given, the squared deviations are written into it.
+    independent fits. A weight vector ``w`` summing to one replaces the plain
+    means; ``d`` and ``dv`` are then 1-D. When ``scratch`` (an array shaped
+    like ``d``, which may be ``d`` itself) is given, the squared deviations are
+    written into it.
     Differences or squared deviations beyond the float range give a
     non-finite result without a warning, which every caller rejects.
     """
@@ -185,15 +186,9 @@ def _moments(
             rho = d.mean(axis=-1)
             dev = np.subtract(d, rho[..., None], out=scratch)
             return rho, np.square(dev, out=dev).mean(axis=-1) - dv.mean(axis=-1)
-        rho = _dot_rows(d, w)
-        dev = np.subtract(d, rho[..., None], out=scratch)
-        return rho, _dot_rows(np.square(dev, out=dev), w) - _dot_rows(dv, w)
-
-
-def _dot_rows(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``row @ w`` for every row of ``x``, one dot product each, as a 1 x K stack:
-    a 2-D ``x @ w`` is a matrix-vector product, which rounds differently."""
-    return np.matmul(x[..., None, :], w)[..., 0]
+        rho = d @ w
+        dev = np.subtract(d, rho, out=scratch)
+        return rho, np.square(dev, out=dev) @ w - dv @ w
 
 
 def _truncate(gamma2_raw):

@@ -17,7 +17,6 @@ from .core import DomainRecord, _diffs, _moments, _record_columns, _truncate
 from .intervals import (
     DEFAULT_BOOTSTRAP_DRAWS,
     _bootstrap_draws,
-    _BootWork,
     _check_alpha,
     _quantiles,
     normal_quantile,
@@ -77,12 +76,10 @@ def _loo_endpoints(
     else:
         levels = np.array([alpha / 2.0 for alpha in alphas] + [1.0 - alpha / 2.0 for alpha in alphas])
         q = np.empty((len(levels), len(history)))
-        # every held-out fit resamples K - 1 domains, so one set of buffers serves all
-        work = _BootWork.for_draws(len(history) - 1, bootstrap_draws)
         for k in range(len(history)):
             samples = _bootstrap_draws(
                 np.delete(d, k), np.delete(dv, k), theta_star[k], var_proxy[k],
-                bootstrap_draws, derive_seed(seed, k), work,
+                bootstrap_draws, derive_seed(seed, k),
             )
             q[:, k] = _quantiles(samples, levels)
         proxy = q[: len(alphas)], q[len(alphas) :]

@@ -141,8 +141,9 @@ def normal_quantile(p: float) -> float:
 
 
 def _check_alpha(alpha: float) -> None:
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
+    # at or below 2**-53 the upper level 1 - alpha/2 rounds to 1, whose quantile is inf
+    if not (0.0 < alpha < 1.0 and 1.0 - alpha / 2.0 < 1.0):
+        raise ValueError(f"alpha must lie in (2**-53, 1), got {alpha}")
 
 
 def wald_interval(center: float, variance: float, alpha: float) -> ConfidenceInterval:
@@ -171,43 +172,6 @@ def _draw_stride(m: int) -> int:
     return BLOCK * -(-(m + 1) // BLOCK)
 
 
-class _BootWork:
-    """Buffers for chunks of up to ``chunk`` bootstrap draws over ``m`` domains,
-    in batches of up to ``batch`` draws.
-
-    ``u`` holds a chunk's uniforms and, once they are turned into the indices
-    ``idx``, its resampled differences; ``dv`` holds the resampled variances.
-    ``un`` holds each draw of a batch's normal uniform, and ``g`` its raw
-    between-domain variance, later its scale. One set serves any number of
-    :func:`_bootstrap_draws` calls over ``m`` domains; every chunk and batch
-    overwrites whatever an earlier one left.
-
-    The five are views of one allocation. glibc raises its mmap threshold to
-    the size of a freed mapped block, so a later block of that size is reused
-    from the heap. Separate buffers each stay below a threshold that an
-    earlier, smaller block set, yet together exceed its trim threshold (twice
-    it); whether the heap then hands them back to the system after every call,
-    and faults them in again on the next, depends on what else it holds.
-    """
-
-    def __init__(self, m: int, chunk: int, batch: int) -> None:
-        self.chunk, self.batch = chunk, batch
-        n_u, n, b = chunk * _draw_stride(m), chunk * m, batch
-        block = np.empty(8 * (n_u + n + 2 * b) + np.dtype(np.intp).itemsize * n, dtype=np.uint8)
-        floats = block[: 8 * (n_u + n + 2 * b)].view(np.float64)
-        self.u, self.un, self.g = floats[:n_u], floats[n_u : n_u + b], floats[n_u + b : n_u + 2 * b]
-        self.dv = floats[n_u + 2 * b :].reshape(chunk, m)
-        self.idx = block[8 * (n_u + n + 2 * b) :].view(np.intp).reshape(chunk, m)
-
-    @classmethod
-    def for_draws(cls, m: int, draws: int) -> _BootWork:
-        """Buffers whose chunk holds at most :data:`_BOOT_CHUNK_BYTES` of uniforms, and
-        whose batch at most 1/128 of that many draws (see :data:`_BOOT_CHUNK_BYTES`)."""
-        batch = max(1, min(draws, _BOOT_CHUNK_BYTES // 128))
-        chunk = max(1, min(batch, _BOOT_CHUNK_BYTES // (8 * _draw_stride(m))))
-        return cls(m, chunk, batch)
-
-
 def _bootstrap_draws(
     d: np.ndarray,
     dv: np.ndarray,
@@ -215,7 +179,6 @@ def _bootstrap_draws(
     var_proxy: float,
     draws: int,
     seed: int,
-    work: _BootWork,
 ) -> np.ndarray:
     """All ``draws`` bootstrap replicates of a target ``(theta_star, var_proxy)``.
 
@@ -223,38 +186,54 @@ def _bootstrap_draws(
     ``(seed, b)``: ``len(d)`` uniforms select the resampled domains and one
     more feeds an inverse-CDF normal. One stream is read in order, a chunk at
     a time, and each chunk is a whole number of blocks, so the replicates are
-    the same whatever chunk and batch ``work`` holds. ``work`` must be built
-    for ``len(d)`` domains; every chunk and batch overwrites its buffers.
+    the same whatever :data:`_BOOT_CHUNK_BYTES` is.
+
+    A chunk holds at most :data:`_BOOT_CHUNK_BYTES` of uniforms, a batch at
+    most 1/128 that many draws. ``u_buf`` holds a chunk's uniforms, then its
+    resampled differences; ``un_buf`` a batch's normal uniforms, and ``g_buf``
+    their raw between-domain variances, later their scales.
     """
     if draws < 2:
         raise ValueError(f"draws must be >= 2, got {draws}")
     m = len(d)
     stride = _draw_stride(m)
+    batch = max(1, min(draws, _BOOT_CHUNK_BYTES // 128))
+    chunk = max(1, min(batch, _BOOT_CHUNK_BYTES // (8 * stride)))
+    # the five buffers are one allocation: separate ones together crossed glibc's
+    # trim threshold, so the heap faulted them in again on every call, and some
+    # simulation processes ran about 15% slower
+    n_u, n_f = chunk * stride, chunk * (stride + m) + 2 * batch
+    block = np.empty(8 * n_f + np.dtype(np.intp).itemsize * chunk * m, dtype=np.uint8)
+    floats = block[: 8 * n_f].view(np.float64)
+    u_buf, dv_buf = floats[:n_u], floats[n_u + 2 * batch :].reshape(chunk, m)
+    un_buf, g_buf = floats[n_u : n_u + batch], floats[n_u + batch : n_u + 2 * batch]
+    idx_buf = block[8 * n_f :].view(np.intp).reshape(chunk, m)
+
     stream = substream(seed, *_BOOT_PATH)
     samples = np.empty(draws)
-    for start in range(0, draws, work.batch):
-        stop = min(start + work.batch, draws)
-        for lo in range(start, stop, work.chunk):
-            n = min(work.chunk, stop - lo)
+    for start in range(0, draws, batch):
+        stop = min(start + batch, draws)
+        for lo in range(start, stop, chunk):
+            n = min(chunk, stop - lo)
             part = slice(lo - start, lo - start + n)
-            u = stream.random(n * stride, out=work.u[: n * stride]).reshape(n, stride)
-            work.un[part] = u[:, m]
+            u = stream.random(n * stride, out=u_buf[: n * stride]).reshape(n, stride)
+            un_buf[part] = u[:, m]
             scaled = np.multiply(u[:, :m], m, out=u[:, :m])
-            idx = work.idx[:n]
+            idx = idx_buf[:n]
             np.copyto(idx, scaled, casting="unsafe")
             # a uniform below 1 times m truncates into [0, m - 1]; "clip" clamps to
             # that range all the same and, unlike the default "raise", writes
             # straight into ``out`` instead of a buffer
-            d_b = np.take(d, idx, out=work.u[: n * m].reshape(n, m), mode="clip")
-            dv_b = np.take(dv, idx, out=work.dv[:n], mode="clip")
-            rho_b, work.g[part] = _moments(d_b, dv_b, scratch=d_b)
+            d_b = np.take(d, idx, out=u_buf[: n * m].reshape(n, m), mode="clip")
+            dv_b = np.take(dv, idx, out=dv_buf[:n], mode="clip")
+            rho_b, g_buf[part] = _moments(d_b, dv_b, scratch=d_b)
             # theta_star - rho_b now, plus scale * z once the batch is drawn
             np.subtract(theta_star, rho_b, out=samples[lo : lo + n])
 
         # one _ndtri call and the scale per batch; the shift keeps the normal's
         # uniform above 0 for the inverse CDF; it rounds the largest uniform
         # below 1 up to 1, so the sum is clamped below 1
-        un, g = work.un[: stop - start], work.g[: stop - start]
+        un, g = un_buf[: stop - start], g_buf[: stop - start]
         z = _ndtri(np.minimum(np.add(un, 2.0 ** -54, out=un), np.nextafter(1.0, 0.0), out=un))
         scale = np.sqrt(np.add(var_proxy, _truncate(g), out=g), out=g)
         samples[start:stop] += np.multiply(scale, z, out=scale)
@@ -307,9 +286,6 @@ def bootstrap_interval(
     """
     _check_alpha(alpha)
     d, dv = np.array(model.diffs), np.array(model.diff_vars)
-    # passed, not held, so the work set is freed before the quantiles run: held
-    # through them, it adds 1.2-1.8 MB to the peak RSS, though not to the traced peak
-    samples = _bootstrap_draws(d, dv, target.theta_star_hat, target.var_proxy, draws, seed,
-                               _BootWork.for_draws(len(d), draws))
+    samples = _bootstrap_draws(d, dv, target.theta_star_hat, target.var_proxy, draws, seed)
     lower, upper = _quantiles(samples, np.array([alpha / 2.0, 1.0 - alpha / 2.0]))
     return ConfidenceInterval(float(lower), float(upper), 1.0 - alpha)

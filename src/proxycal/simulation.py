@@ -31,7 +31,7 @@ import numpy as np
 
 from ._rng import derive_seed, substream
 from .core import TargetRecord, _bias_model, _diffs
-from .intervals import bootstrap_interval, plugin_interval, wald_interval
+from .intervals import _check_alpha, bootstrap_interval, plugin_interval, wald_interval
 
 ESTIMATORS = ("primary_only", "proxy_only", "ppi", "ppi_weighted")
 ADJUSTMENTS = ("none", "plugin", "bootstrap")
@@ -91,8 +91,7 @@ class SimConfig:
             raise ValueError("mu_target must be finite")
         if self.replicates < 1:
             raise ValueError(f"replicates must be >= 1, got {self.replicates}")
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must lie in (0, 1), got {self.alpha}")
+        _check_alpha(self.alpha)
         if self.bootstrap_draws < 2:
             raise ValueError(f"bootstrap_draws must be >= 2, got {self.bootstrap_draws}")
         if self.workers < 1:

@@ -386,6 +386,8 @@ class TestSimConfigFile:
             ("lambda1 = inf", "lambda1 must be finite"),
             ("n_per_domain = 1", "n_per_domain must be >= 2"),
             ("bootstrap_draws = 1", "bootstrap_draws must be >= 2"),
+            # 1 - alpha/2 rounds to 1, whose normal quantile is inf
+            ("alpha = 1e-17", "alpha must lie in (2**-53, 1), got 1e-17"),
         ],
     )
     def test_invalid_value_names_file(self, tmp_path, capsys, line, message):
@@ -921,6 +923,11 @@ class TestFlagValues:
         ("loo {history} --alpha 0.05,0", "--alpha", "'0.05,0'"),
         ("adjust --history {history} --target {target} --alpha 0", "--alpha", "0.0"),
         ("adjust --history {history} --target {target} --alpha nan", "--alpha", "nan"),
+        # 1 - alpha/2 rounds to 1, whose normal quantile is inf
+        ("adjust --history {history} --target {target} --alpha 1e-17", "--alpha", "1e-17"),
+        ("adjust --history {history} --target {target} --method bootstrap --alpha 1e-17",
+         "--alpha", "1e-17"),
+        ("loo {history} --alpha 0.05,1e-17", "--alpha", "'0.05,1e-17'"),
         ("adjust --history {history} --target {target} --method bootstrap --draws 1",
          "--draws", "1"),
         ("loo {history} --method bootstrap --draws 1", "--draws", "1"),

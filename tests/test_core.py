@@ -272,12 +272,10 @@ class TestMomentKernel:
     def assert_rows_equal(self, d_rows, dv_rows):
         from proxycal.core import _moments
 
-        w = np.random.default_rng(3).uniform(size=d_rows.shape[-1])
-        for weights in (None, w / w.sum()):
-            rho, raw = _moments(d_rows, dv_rows, weights)
-            rows = [_moments(dr, dvr, weights) for dr, dvr in zip(d_rows, dv_rows)]
-            assert np.array_equal(rho, [r for r, _ in rows])
-            assert np.array_equal(raw, [g for _, g in rows])
+        rho, raw = _moments(d_rows, dv_rows)
+        rows = [_moments(dr, dvr) for dr, dvr in zip(d_rows, dv_rows)]
+        assert np.array_equal(rho, [r for r, _ in rows])
+        assert np.array_equal(raw, [g for _, g in rows])
 
     def test_bootstrap_resample_rows(self):
         d, dv = self.arrays()

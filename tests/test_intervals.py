@@ -1,4 +1,3 @@
-import itertools
 import math
 import tracemalloc
 from unittest import mock
@@ -23,7 +22,7 @@ from proxycal import (
     wald_interval,
 )
 from proxycal.core import diff_arrays
-from proxycal.intervals import _bootstrap_draws, _BootWork, _ndtri, _quantiles
+from proxycal.intervals import _bootstrap_draws, _ndtri, _quantiles
 
 from reference import bootstrap_mixture_quantile, normal_quantile_reference
 
@@ -126,6 +125,13 @@ class TestWaldInterval:
             wald_interval(0.0, math.nan, 0.05)
         with pytest.raises(ValueError):
             wald_interval(0.0, 1.0, 1.0)
+
+    def test_smallest_alpha(self):
+        # at 2**-53 the upper level 1 - alpha/2 rounds to 1; just above, it does not
+        with pytest.raises(ValueError, match=r"alpha must lie in \(2\*\*-53, 1\)"):
+            wald_interval(0.0, 1.0, 2.0 ** -53)
+        iv = wald_interval(0.0, 1.0, float(np.nextafter(2.0 ** -53, 1.0)))
+        assert math.isfinite(iv.upper) and iv.level < 1.0
 
 
 def model_of(rho, gamma2):
@@ -238,14 +244,41 @@ class TestDomainBootstrap:
         c = bootstrap_interval(target, fit_mom(history), 0.05, draws=9999, seed=43)
         assert (a.lower, a.upper) != (c.lower, c.upper)
 
-    def test_draw_blocks_are_order_independent(self):
-        d = np.array([0.05, 0.2, -0.1])
-        dv = np.array([0.001, 0.002, 0.004])
-        full = _bootstrap_draws(d, dv, 0.7, 0.003, 5000, 42, _BootWork(3, 5000, 5000))
-        # batches of one chunk, of several chunks, and cutting chunks short
-        for chunk, batch in [(1, 1), (137, 1000), (2100, 300)]:
-            pieces = _bootstrap_draws(d, dv, 0.7, 0.003, 5000, 42, _BootWork(3, chunk, batch))
-            assert np.array_equal(full, pieces)
+    def test_draw_blocks_are_order_independent(self, monkeypatch):
+        # one draw a chunk and a batch, and 137-draw batches: at m = 3 a chunk is
+        # always a whole batch; at m = 40, 1,000-draw batches take chunks of 363
+        # draws, so each batch ends in a short chunk
+        for m, chunk_bytes in [(3, 1), (3, 128 * 137), (40, 128 * 1000)]:
+            rng = np.random.default_rng(m)
+            d, dv = rng.normal(0.1, 0.2, m), rng.uniform(0.0, 0.01, m)
+            monkeypatch.setattr(intervals, "_BOOT_CHUNK_BYTES", 1 << 40)  # one chunk
+            full = _bootstrap_draws(d, dv, 0.7, 0.003, 5000, 42)
+            monkeypatch.setattr(intervals, "_BOOT_CHUNK_BYTES", chunk_bytes)
+            assert np.array_equal(full, _bootstrap_draws(d, dv, 0.7, 0.003, 5000, 42))
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 300, 1 << 12, intervals._BOOT_CHUNK_BYTES])
+    def test_stale_buffers_never_reach_the_replicates(self, monkeypatch, chunk_bytes):
+        # every array the call allocates starts as 0xFF bytes, NaN as a float and
+        # -1 as an index, so a value read before this call writes it shows
+        m, draws = 23, 3000
+        rng = np.random.default_rng(12)
+        d, dv = rng.normal(0.1, 0.2, m), rng.uniform(0.0, 0.01, m)
+        monkeypatch.setattr(intervals, "_BOOT_CHUNK_BYTES", chunk_bytes)
+        plain = _bootstrap_draws(d, dv, 0.7, 0.003, draws, 5)
+
+        class Filled:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def empty(*args, **kwargs):
+                a = np.empty(*args, **kwargs)
+                a.reshape(-1).view(np.uint8).fill(0xFF)
+                return a
+
+        monkeypatch.setattr(intervals, "np", Filled())
+        stale = _bootstrap_draws(d, dv, 0.7, 0.003, draws, 5)
+        assert stale.tobytes() == plain.tobytes()
 
     @pytest.mark.parametrize("m", [1, 3, 5, 1000])
     def test_top_uniform_resamples_the_last_domain(self, monkeypatch, m):
@@ -260,11 +293,8 @@ class TestDomainBootstrap:
             return u
 
         stream_through(monkeypatch, top)
-        work = _BootWork(m, draws, draws)
-        samples = _bootstrap_draws(d, dv, 0.7, 0.003, draws, 5, work)
-        assert (work.idx == m - 1).all()
-        last = _bootstrap_draws(np.full(m, d[-1]), np.full(m, dv[-1]), 0.7, 0.003, draws, 5,
-                                _BootWork(m, draws, draws))
+        samples = _bootstrap_draws(d, dv, 0.7, 0.003, draws, 5)
+        last = _bootstrap_draws(np.full(m, d[-1]), np.full(m, dv[-1]), 0.7, 0.003, draws, 5)
         assert np.isfinite(samples).all()
         assert samples.tobytes() == last.tobytes()
 
@@ -281,7 +311,7 @@ class TestDomainBootstrap:
             return u
 
         stream_through(monkeypatch, top)
-        samples = _bootstrap_draws(d, dv, 0.7, 0.003, draws, 5, _BootWork(m, draws, draws))
+        samples = _bootstrap_draws(d, dv, 0.7, 0.003, draws, 5)
         assert np.isfinite(samples).all()
 
     def test_chunks_bounded_by_bytes(self, monkeypatch):
@@ -307,7 +337,8 @@ class TestDomainBootstrap:
         assert all(8 * uniforms_per_draw * (b - a) <= intervals._BOOT_CHUNK_BYTES
                    for a, b in chunks)
         d, dv = diff_arrays(history)
-        samples = _bootstrap_draws(d, dv, 0.7, 0.003, draws, 4, _BootWork(k, draws, draws))
+        monkeypatch.setattr(intervals, "_BOOT_CHUNK_BYTES", 1 << 40)  # one chunk
+        samples = _bootstrap_draws(d, dv, 0.7, 0.003, draws, 4)
         lower, upper = np.quantile(samples, [0.05, 0.95])
         assert (got.lower, got.upper) == (lower, upper)
 
@@ -325,47 +356,6 @@ class TestDomainBootstrap:
         with mock.patch.object(intervals, "_BOOT_CHUNK_BYTES", chunk_bytes):
             chunked = bootstrap_interval(target, model, 0.1, draws=draws, seed=9)
         assert chunked == whole
-
-    @given(
-        domains=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(0.0, 0.01)),
-                         min_size=1, max_size=30),
-        calls=st.lists(st.tuples(st.integers(2, 300), st.integers(0, 2**64 - 1)),
-                       min_size=2, max_size=4),
-        chunk_bytes=st.integers(1, 1 << 14),
-    )
-    def test_reused_work_set_equals_fresh_buffers(self, domains, calls, chunk_bytes):
-        d, dv = (np.array(column) for column in zip(*domains))
-        m = len(d)
-        with mock.patch.object(intervals, "_BOOT_CHUNK_BYTES", chunk_bytes):
-            work = _BootWork.for_draws(m, max(draws for draws, _ in calls))
-        # stale values that a missed write would leak: NaN, and an index one past the end
-        work.u.fill(np.nan)
-        work.dv.fill(np.nan)
-        work.un.fill(np.nan)
-        work.g.fill(np.nan)
-        work.idx.fill(m)
-        for i, (draws, seed) in enumerate(calls):
-            # each call rotates the domains, as each held-out domain of a LOO pass differs
-            d_i, dv_i = np.roll(d, i), np.roll(dv, i)
-            reused = _bootstrap_draws(d_i, dv_i, 0.6, 0.002, draws, seed, work)
-            fresh = _bootstrap_draws(d_i, dv_i, 0.6, 0.002, draws, seed, _BootWork(m, draws, draws))
-            assert reused.tobytes() == fresh.tobytes()
-
-    @pytest.mark.parametrize("m, chunk", [(1, 1), (24, 4000), (59, 2184)])
-    def test_work_set_is_disjoint_views_of_one_block(self, m, chunk):
-        batch = 2048
-        work = intervals._BootWork(m, chunk, batch)
-        views = (work.u, work.dv, work.idx, work.un, work.g)
-        assert [(v.shape, v.dtype) for v in views] == [
-            ((chunk * intervals._draw_stride(m),), np.float64),
-            ((chunk, m), np.float64),
-            ((chunk, m), np.intp),
-            ((batch,), np.float64),
-            ((batch,), np.float64),
-        ]
-        assert work.u.base is work.dv.base is work.idx.base is work.un.base is work.g.base
-        assert work.u.base is not None
-        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(views, 2))
 
     def test_translation_equivariance(self):
         history = history_of([(0.05, 0.001), (0.2, 0.002), (-0.1, 0.004)])
@@ -479,8 +469,11 @@ class TestBootstrapMemory:
         rng = np.random.default_rng(5)
         model = fit_mom(history_of(zip(rng.normal(0.1, 0.2, k), rng.uniform(0.0, 0.01, k))))
         target = TargetRecord("t", 0.7, 0.003)
-        work = intervals._BootWork.for_draws(k, draws)
-        block = work.u.nbytes + work.dv.nbytes + work.idx.nbytes
+        # the chunk buffers' bytes, sized as _bootstrap_draws sizes them
+        stride, chunk_bytes = intervals._draw_stride(k), intervals._BOOT_CHUNK_BYTES
+        batch = max(1, min(draws, chunk_bytes // 128))
+        chunk = max(1, min(batch, chunk_bytes // (8 * stride)))
+        block = chunk * (8 * stride + 8 * k + np.dtype(np.intp).itemsize * k)
         peak = self.peak(lambda: bootstrap_interval(target, model, 0.1, draws=draws, seed=2))
         # 512 KiB covers a chunk's temporaries, the small arrays and Python objects
         assert peak < 8 * draws + block + (1 << 19)
