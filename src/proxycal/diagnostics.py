@@ -14,21 +14,9 @@ import numpy as np
 
 from ._rng import derive_seed
 from .core import DomainRecord, _diffs, _moments, _record_columns, _truncate
-from .intervals import (
-    DEFAULT_BOOTSTRAP_DRAWS,
-    _bootstrap_draws,
-    _check_alpha,
-    _quantiles,
-    normal_quantile,
-)
+from .intervals import DEFAULT_BOOTSTRAP_DRAWS, _bootstrap_endpoints, _check_alpha, _wald_endpoints
 
 METHODS = ("unadjusted", "plugin", "bootstrap")
-
-
-def _wald_endpoints(z: np.ndarray, center: np.ndarray, variance: np.ndarray):
-    """``center -+ z * sqrt(variance)`` with one row per quantile in ``z``."""
-    half = z[:, None] * np.sqrt(variance)
-    return center - half, center + half
 
 
 def _loo_endpoints(
@@ -56,8 +44,7 @@ def _loo_endpoints(
 
     columns = _record_columns(history)
     theta, theta_star, var_primary, var_proxy, _ = columns
-    z = np.array([normal_quantile(1.0 - alpha / 2.0) for alpha in alphas])
-    primary = _wald_endpoints(z, theta, var_primary)
+    primary = _wald_endpoints(theta, var_primary, alphas)
     if (_mean_width(*primary) == 0.0).any():
         raise ValueError(
             "primary intervals have zero mean width: var_primary is too small "
@@ -66,23 +53,20 @@ def _loo_endpoints(
 
     d, dv = _diffs(*columns)
     if method == "unadjusted":
-        proxy = _wald_endpoints(z, theta_star, var_proxy)
+        proxy = _wald_endpoints(theta_star, var_proxy, alphas)
     elif method == "plugin":
         rho, gamma2 = np.empty(len(history)), np.empty(len(history))
         for k in range(len(history)):
             rho[k], raw = _moments(np.delete(d, k), np.delete(dv, k))
             gamma2[k] = _truncate(raw)
-        proxy = _wald_endpoints(z, theta_star - rho, var_proxy + gamma2)
+        proxy = _wald_endpoints(theta_star - rho, var_proxy + gamma2, alphas)
     else:
-        levels = np.array([alpha / 2.0 for alpha in alphas] + [1.0 - alpha / 2.0 for alpha in alphas])
-        q = np.empty((len(levels), len(history)))
+        proxy = np.empty((2, len(alphas), len(history)))
         for k in range(len(history)):
-            samples = _bootstrap_draws(
+            proxy[:, :, k] = _bootstrap_endpoints(
                 np.delete(d, k), np.delete(dv, k), theta_star[k], var_proxy[k],
-                bootstrap_draws, derive_seed(seed, k),
+                alphas, bootstrap_draws, derive_seed(seed, k),
             )
-            q[:, k] = _quantiles(samples, levels)
-        proxy = q[: len(alphas)], q[len(alphas) :]
     if not np.isfinite(proxy).all():
         raise ValueError("held-out proxy interval endpoints must be finite")
     return (*proxy, *primary)

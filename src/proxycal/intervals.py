@@ -146,6 +146,13 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in (2**-53, 1), got {alpha}")
 
 
+def _wald_endpoints(center, variance, alphas: list[float]) -> tuple[np.ndarray, np.ndarray]:
+    """``center -+ z * sqrt(variance)`` with one row per alpha, ``z`` its normal quantile."""
+    z = np.array([normal_quantile(1.0 - alpha / 2.0) for alpha in alphas])
+    half = np.multiply.outer(z, np.sqrt(variance))
+    return center - half, center + half
+
+
 def wald_interval(center: float, variance: float, alpha: float) -> ConfidenceInterval:
     """Symmetric normal-approximation interval ``center +- z * sqrt(variance)``."""
     _check_alpha(alpha)
@@ -153,8 +160,8 @@ def wald_interval(center: float, variance: float, alpha: float) -> ConfidenceInt
         raise ValueError(f"center must be finite, got {center}")
     if not math.isfinite(variance) or variance < 0:
         raise ValueError(f"variance must be finite and >= 0, got {variance}")
-    half = normal_quantile(1.0 - alpha / 2.0) * math.sqrt(variance)
-    return ConfidenceInterval(center - half, center + half, 1.0 - alpha)
+    (lower,), (upper,) = _wald_endpoints(center, variance, [alpha])
+    return ConfidenceInterval(float(lower), float(upper), 1.0 - alpha)
 
 
 def plugin_interval(target: TargetRecord, model: BiasModel, alpha: float) -> ConfidenceInterval:
@@ -267,6 +274,13 @@ def _quantiles(a: np.ndarray, levels: np.ndarray) -> np.ndarray:
     return out
 
 
+def _bootstrap_endpoints(d, dv, theta_star, var_proxy, alphas, draws, seed) -> list[np.ndarray]:
+    """``[lower, upper]`` rows per alpha: quantiles of one set of :func:`_bootstrap_draws`."""
+    samples = _bootstrap_draws(d, dv, theta_star, var_proxy, draws, seed)
+    levels = [alpha / 2.0 for alpha in alphas] + [1.0 - alpha / 2.0 for alpha in alphas]
+    return np.split(_quantiles(samples, np.array(levels)), 2)
+
+
 def bootstrap_interval(
     target: TargetRecord,
     model: BiasModel,
@@ -285,7 +299,8 @@ def bootstrap_interval(
     function of ``(target, model.diffs, model.diff_vars, alpha, draws, seed)``.
     """
     _check_alpha(alpha)
-    d, dv = np.array(model.diffs), np.array(model.diff_vars)
-    samples = _bootstrap_draws(d, dv, target.theta_star_hat, target.var_proxy, draws, seed)
-    lower, upper = _quantiles(samples, np.array([alpha / 2.0, 1.0 - alpha / 2.0]))
+    (lower,), (upper,) = _bootstrap_endpoints(
+        np.array(model.diffs), np.array(model.diff_vars), target.theta_star_hat,
+        target.var_proxy, [alpha], draws, seed,
+    )
     return ConfidenceInterval(float(lower), float(upper), 1.0 - alpha)

@@ -9,8 +9,8 @@ from proxycal import (
     DomainRecord,
     TargetRecord,
     bootstrap_interval,
-    diagnostics,
     fit_mom,
+    intervals,
     loo_table,
     normal_quantile,
     plugin_interval,
@@ -249,7 +249,7 @@ class TestNormalizedWidth:
         def refuse(*args, **kwargs):
             raise AssertionError("the bootstrap was drawn")
 
-        monkeypatch.setattr(diagnostics, "_bootstrap_draws", refuse)
+        monkeypatch.setattr(intervals, "_bootstrap_draws", refuse)
         history = [DomainRecord(f"d{i}", 0.5, 0.6, 0.0, 0.001, 0.0) for i in range(3)]
         with pytest.raises(ValueError, match="zero mean width"):
             loo_table(history, [0.05], "bootstrap")

@@ -13,7 +13,6 @@ from proxycal import (
     DomainRecord,
     TargetRecord,
     bootstrap_interval,
-    diagnostics,
     fit_mom,
     normal_quantile,
     intervals,
@@ -64,7 +63,7 @@ class TestNormalQuantile:
         normal_quantile.cache_clear()
         cached = loo_table(history, alphas, "plugin")
         assert len(calls) <= 3
-        monkeypatch.setattr(diagnostics, "normal_quantile", normal_quantile.__wrapped__)
+        monkeypatch.setattr(intervals, "normal_quantile", normal_quantile.__wrapped__)
         assert loo_table(history, alphas, "plugin") == cached
         assert len(calls) > 3
 
