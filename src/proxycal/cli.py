@@ -70,12 +70,12 @@ def _check_draws(draws: int) -> None:
 
 
 @contextlib.contextmanager
-def _values_of(path: str):
-    """Report a ``ValueError`` raised on a file's values as bad input in that file."""
+def _values_of(where: str):
+    """Report a ``ValueError`` raised on input values as bad input in the files ``where`` names."""
     try:
         yield
     except ValueError as exc:
-        raise dataio.SchemaError(f"{path}: {exc}") from None
+        raise dataio.SchemaError(f"{where}: {exc}") from None
 
 
 def _load_history_of_two(args: argparse.Namespace) -> list:
@@ -114,10 +114,15 @@ def _cmd_adjust(args: argparse.Namespace) -> tuple[dict, dict]:
         model = dataio.load_model(args.model)
     _emit_model_warnings(model)
 
-    if args.method == "plugin":
-        interval = plugin_interval(target, model, args.alpha)
-    else:
-        interval = bootstrap_interval(target, model, args.alpha, draws=args.draws, seed=args.seed)
+    source = f"--history {args.history}" if args.history is not None else f"--model {args.model}"
+    # the flags are checked above, so what is left is the target's and the model's values
+    with _values_of(f"--target {args.target} with {source}"):
+        if args.method == "plugin":
+            interval = plugin_interval(target, model, args.alpha)
+        else:
+            interval = bootstrap_interval(
+                target, model, args.alpha, draws=args.draws, seed=args.seed
+            )
 
     lines = dataio.write_kv(args.out, {
         "point": debias(target, model),

@@ -159,13 +159,15 @@ def _weighted_loglik(d: np.ndarray, dv: np.ndarray, w: np.ndarray, rho: float, g
     """Weighted Gaussian marginal log-likelihood of the differences.
 
     A zero total variance at a carried domain makes the likelihood degenerate;
-    that bandwidth scores -inf rather than raising.
+    that bandwidth scores -inf rather than raising. So does, without a
+    warning, a total variance or a standardised square beyond the float range.
     """
     active = w > WEIGHT_FLOOR
-    v = gamma2 + dv[active]
-    if np.any(v == 0.0):
-        return -math.inf
-    terms = np.log(v) + (d[active] - rho) ** 2 / v
+    with np.errstate(over="ignore"):
+        v = gamma2 + dv[active]
+        if np.any(v == 0.0):
+            return -math.inf
+        terms = np.log(v) + (d[active] - rho) ** 2 / v
     return float(-0.5 * (w[active] @ terms))
 
 

@@ -233,17 +233,25 @@ def _bootstrap_draws(
             # straight into ``out`` instead of a buffer
             d_b = np.take(d, idx, out=u_buf[: n * m].reshape(n, m), mode="clip")
             dv_b = np.take(dv, idx, out=dv_buf[:n], mode="clip")
-            rho_b, g_buf[part] = _moments(d_b, dv_b, scratch=d_b)
-            # theta_star - rho_b now, plus scale * z once the batch is drawn
-            np.subtract(theta_star, rho_b, out=samples[lo : lo + n])
+            # rho_b now; theta_star - rho_b + scale * z once the batch is drawn
+            samples[lo : lo + n], g_buf[part] = _moments(d_b, dv_b, scratch=d_b)
 
         # one _ndtri call and the scale per batch; the shift keeps the normal's
         # uniform above 0 for the inverse CDF; it rounds the largest uniform
         # below 1 up to 1, so the sum is clamped below 1
-        un, g = un_buf[: stop - start], g_buf[: stop - start]
+        un, g, out = un_buf[: stop - start], g_buf[: stop - start], samples[start:stop]
         z = _ndtri(np.minimum(np.add(un, 2.0 ** -54, out=un), np.nextafter(1.0, 0.0), out=un))
-        scale = np.sqrt(np.add(var_proxy, _truncate(g), out=g), out=g)
-        samples[start:stop] += np.multiply(scale, z, out=scale)
+        # an overflow leaves a replicate non-finite, which is rejected below
+        with np.errstate(over="ignore", invalid="ignore"):
+            scale = np.sqrt(np.add(var_proxy, _truncate(g), out=g), out=g)
+            np.subtract(theta_star, out, out=out)
+            out += np.multiply(scale, z, out=scale)
+        if not np.isfinite(out).all():
+            raise ValueError(
+                "bootstrap replicates must be finite: theta_star_hat - rho or var_proxy + gamma2 "
+                f"of a resample overflows at theta_star_hat={float(theta_star)!r}, "
+                f"var_proxy={float(var_proxy)!r}"
+            )
     return samples
 
 

@@ -627,6 +627,37 @@ class TestCliAdjust:
         assert "--history" in err and "--model" in err
         assert not out.exists() and not manifest_path(out).exists()
 
+    # a fit and a target, each finite, whose interval overflows: gamma2 = 4.3e307
+    # beside var_proxy = 1.7e308, or rho = -8e307 beneath theta_star_hat = 1.7e308
+    @pytest.mark.parametrize("diffs, target, message", [
+        (["0", "8e153", "-8e153"], (0, 1.7e308), {
+            "plugin": "variance must be finite and >= 0, got inf",
+            "bootstrap": "bootstrap replicates must be finite: "}),
+        (["-8e307", "-8e307"], (1.7e308, 0), {
+            "plugin": "center must be finite, got inf",
+            "bootstrap": "bootstrap replicates must be finite: "}),
+    ], ids=["variance", "center"])
+    @pytest.mark.parametrize("method", ["plugin", "bootstrap"])
+    @pytest.mark.parametrize("flag", ["--history", "--model"])
+    def test_overflowing_interval_names_target_and_source(
+        self, tmp_path, capsys, diffs, target, message, method, flag
+    ):
+        hist = history_csv(tmp_path, [f"d{i},0,{d},0,0,0" for i, d in enumerate(diffs)])
+        model = tmp_path / "model.txt"
+        assert main(["fit", str(hist), "--out", str(model)]) == 0
+        capsys.readouterr()
+        source = {"--history": hist, "--model": model}[flag]
+        tgt = target_csv(tmp_path, *target)
+        out = tmp_path / "interval.txt"
+        assert main(["adjust", flag, str(source), "--target", str(tgt),
+                     "--method", method, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --target {tgt} with {flag} {source}: "
+                                       f"{message[method]}")
+        assert captured.err.count("\n") == 1
+        assert not out.exists() and not manifest_path(out).exists()
+
     def test_bootstrap_seeded_byte_identical(self, tmp_path):
         hist = history_csv(tmp_path, THREE_ROWS)
         target = target_csv(tmp_path)
@@ -693,6 +724,20 @@ class TestCliLoo:
                      "unadjusted,plugin,bootstrap", "--draws", "200", "--out", str(out)]) == 0
         assert passes == [(m, (0.01, 0.05, 0.2)) for m in ("unadjusted", "plugin", "bootstrap")]
         assert len(out.read_text().splitlines()) == 1 + 3 * 3
+
+    # held out, either 1.3e154 row leaves a resampled gamma2 that overflows beside var_proxy
+    def test_overflowing_bootstrap_replicates_exit_2_names_file(self, tmp_path, capsys):
+        rows = [f"{name},0,{d},8e307,8e307,8e307"
+                for name, d in zip("abc", ["1.3e154", "-1.3e154", "1.3e154"])]
+        hist = history_csv(tmp_path, rows)
+        out = tmp_path / "loo.csv"
+        assert main(["loo", str(hist), "--method", "bootstrap", "--draws", "100",
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {hist}: bootstrap replicates must be finite: ")
+        assert captured.err.count("\n") == 1
+        assert not out.exists() and not manifest_path(out).exists()
 
     @pytest.mark.parametrize("var_primary", ["0", "5e-324"])
     def test_zero_primary_width_exit_2_names_file_and_column(self, tmp_path, capsys, var_primary):
@@ -825,6 +870,19 @@ class TestCliTuneContext:
         vals = parse_kv(out)
         logliks = [float(x) for x in vals["grid_logliks"].split(",")]
         assert float(vals["loglik_star"]) == max(logliks)
+
+    # a total variance or a standardised square beyond the float range scores -inf
+    @pytest.mark.parametrize("rows", [
+        ["a,0,1.3e154,0,0,0,0", "b,0,-1.3e154,1e308,0,0,0"],
+        ["a,0,1e150,1e-300,0,0,0", "b,0,-1e150,1.7e308,0,0,0"],
+    ], ids=["variance", "standardised-square"])
+    def test_overflowing_loglik_scores_minus_inf_silently(self, tmp_path, capsys, rows):
+        hist = history_csv(tmp_path, rows, header=HISTORY_HEADER + ",context_0")
+        out = tmp_path / "tune.txt"
+        assert main(["tune-context", str(hist), "--target-context", "0",
+                     "--beta-grid", "1", "--out", str(out)]) == 0
+        assert parse_kv(out)["loglik_star"] == "-inf"
+        assert "RuntimeWarning" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("grid", ["-1,0,1", "0", "2.5,-0.5", "nan"])
     def test_nonpositive_beta_grid_exit_2(self, tmp_path, capsys, grid):

@@ -271,6 +271,17 @@ class TestTuneBeta:
         assert profile[0][1] == -math.inf
         assert math.isfinite(profile[2][1])
 
+    # a total variance (gamma2 + 1e308) or a standardised square (1e300 / 1e-300)
+    # beyond the float range scores -inf, as a zero variance does, and warns of nothing
+    @pytest.mark.parametrize("rows", [
+        [(1.3e154, 0.0), (-1.3e154, 1e308)],
+        [(1e150, 1e-300), (-1e150, 1.7e308)],
+    ], ids=["variance", "standardised-square"])
+    def test_overflowing_loglik_scores_minus_inf_silently(self, rows):
+        history = [DomainRecord(f"d{i}", 0.0, d, var, 0.0, 0.0, context=(0.0,))
+                   for i, (d, var) in enumerate(rows)]
+        assert beta_profile(history, (0.0,), [1.0]) == [(1.0, -math.inf)]
+
     # a difference beyond the float range is rejected by its record (test_core)
     @pytest.mark.parametrize("theta, message", [(1e200, "gamma2 must be finite, got inf")])
     def test_overflowing_fit_raises(self, theta, message):

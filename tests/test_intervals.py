@@ -366,6 +366,29 @@ class TestDomainBootstrap:
         assert b.lower == pytest.approx(a.lower + c, rel=1e-12)
         assert b.upper == pytest.approx(a.upper + c, rel=1e-12)
 
+    # gamma2 = 4.3e307 beside var_proxy = 1.7e308, or rho = -8e307 beneath 1.7e308
+    @pytest.mark.parametrize("diffs, target", [
+        ([0.0, 8e153, -8e153], TargetRecord("t", 0.0, 1.7e308)),
+        ([-8e307, -8e307], TargetRecord("t", 1.7e308, 0.0)),
+    ], ids=["scale", "center"])
+    def test_overflowing_replicates_raise_in_the_first_batch(self, monkeypatch, diffs, target):
+        batches = []
+
+        def counted(y):
+            batches.append(len(y))
+            return _ndtri(y)
+
+        def refuse(*args):
+            raise AssertionError("quantiles taken of non-finite replicates")
+
+        monkeypatch.setattr(intervals, "_ndtri", counted)
+        monkeypatch.setattr(intervals, "_quantiles", refuse)
+        batch = intervals._BOOT_CHUNK_BYTES // 128
+        model = fit_mom(history_of([(d, 0.0) for d in diffs]))
+        with pytest.raises(ValueError, match="bootstrap replicates must be finite"):
+            bootstrap_interval(target, model, 0.05, draws=3 * batch, seed=0)
+        assert batches == [batch]
+
     def test_input_validation(self):
         target = TargetRecord("t", 0.5, 0.01)
         with pytest.raises(ValueError):
