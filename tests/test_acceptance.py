@@ -67,7 +67,7 @@ def cell_weighted_k0_n50000():
 @pytest.fixture(scope="module")
 def cells_proxy_k1_n50000():
     cfg = SimConfig(n_domains=25, n_per_domain=50_000, kappa=1.0, replicates=500, seed=SEED,
-                    estimators=("proxy_only",), adjustments=("none", "bootstrap"))
+                    estimators=("proxy_only",), adjustments=("none", "bootstrap"), workers=2)
     cells = run_experiment(cfg)
     return {c.adjustment: c for c in cells}
 
@@ -77,7 +77,7 @@ def cells_proxy_k10_plateau():
     out = {}
     for n in (10_000, 50_000):
         cfg = SimConfig(n_domains=25, n_per_domain=n, kappa=10.0, replicates=150, seed=SEED,
-                        estimators=("proxy_only",), adjustments=("plugin",))
+                        estimators=("proxy_only",), adjustments=("plugin",), workers=2)
         out[n] = run_experiment(cfg)[0]
     return out
 

@@ -96,6 +96,12 @@ def test_only_core_and_dataio_construct_domain_records(record, builders):
     assert constructing <= builders
 
 
+# loo's held-out intervals come from the same kernels as adjust's
+@pytest.mark.parametrize("kernel", ["_bootstrap_draws", "_quantiles"])
+def test_only_intervals_turns_replicates_into_endpoints(kernel):
+    assert {m for m in LAYER if kernel in constructed_names(m)} == {"intervals"}
+
+
 def test_parser_sees_every_import_form():
     imports = package_imports("cli")
     assert {"dataio", "contextual", "core", "diagnostics", "intervals", "simulation"} <= imports
