@@ -6,6 +6,10 @@ its proxy-based interval from the remaining domains, and ask whether it
 overlaps the held-out domain's own primary interval. Aggregated over domains
 this yields an overlap rate and a normalized width, comparable across interval
 construction methods.
+
+The held-out intervals are built with the kernels that build ``adjust``'s, from
+:mod:`proxycal.intervals`; this module keeps only the held-out bookkeeping: the
+fits, the overlaps and the widths.
 """
 
 from __future__ import annotations
@@ -59,7 +63,9 @@ def _loo_endpoints(
         for k in range(len(history)):
             rho[k], raw = _moments(np.delete(d, k), np.delete(dv, k))
             gamma2[k] = _truncate(raw)
-        proxy = _wald_endpoints(theta_star - rho, var_proxy + gamma2, alphas)
+        # a center or variance beyond the float range is rejected below, without a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            proxy = _wald_endpoints(theta_star - rho, var_proxy + gamma2, alphas)
     else:
         proxy = np.empty((2, len(alphas), len(history)))
         for k in range(len(history)):

@@ -4,6 +4,11 @@ Three constructions share one center convention (proxy estimate minus fitted
 mean bias): the plain Wald interval, the plug-in interval that widens by the
 fitted between-domain bias variance, and a domain bootstrap that additionally
 propagates the sampling noise of the fitted bias distribution itself.
+
+``_wald_endpoints`` is the one ``center -+ z * sqrt(variance)`` rule and
+``_bootstrap_endpoints`` the one step from bootstrap replicates to endpoints;
+``loo`` builds its held-out intervals with the same two kernels as ``adjust``
+and ``simulate``.
 """
 
 from __future__ import annotations
@@ -193,7 +198,8 @@ def _bootstrap_draws(
     ``(seed, b)``: ``len(d)`` uniforms select the resampled domains and one
     more feeds an inverse-CDF normal. One stream is read in order, a chunk at
     a time, and each chunk is a whole number of blocks, so the replicates are
-    the same whatever :data:`_BOOT_CHUNK_BYTES` is.
+    the same whatever :data:`_BOOT_CHUNK_BYTES` is. A replicate that leaves
+    the float range raises ``ValueError`` as soon as its batch is drawn.
 
     A chunk holds at most :data:`_BOOT_CHUNK_BYTES` of uniforms, a batch at
     most 1/128 that many draws. ``u_buf`` holds a chunk's uniforms, then its

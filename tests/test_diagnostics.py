@@ -178,6 +178,18 @@ class TestLooOverlapRate:
         with pytest.raises(ValueError, match=message):
             loo_table(history, [0.05], method, bootstrap_draws=50)
 
+    # held out, domain a's center 1.7e308 - rho or its variance 1.7e308 + gamma2
+    # leaves the float range
+    @pytest.mark.parametrize("a, others", [
+        (("a", 1.7e308, 1.7e308, 1.0, 1.0, 0.0), (-8e307, -8e307)),
+        (("a", 0.0, 0.0, 1.0, 1.7e308, 0.0), (8e153, -8e153)),
+    ], ids=["center", "variance"])
+    def test_overflowing_held_out_plugin_interval_errors(self, a, others):
+        history = [DomainRecord(*a)] + [DomainRecord(f"d{i}", 0.0, d, 1.0, 1.0, 0.0)
+                                        for i, d in enumerate(others)]
+        with pytest.raises(ValueError, match="held-out proxy interval endpoints must be finite"):
+            loo_table(history, [0.05], "plugin")
+
     def test_unknown_method_error(self):
         with pytest.raises(ValueError):
             loo_table(matched_history(), [0.05], "magic")
