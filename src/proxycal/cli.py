@@ -14,7 +14,6 @@ not given is ``None``); ``main`` then writes the run manifest, whose
 from __future__ import annotations
 
 import argparse
-import contextlib
 import math
 import sys
 
@@ -26,7 +25,7 @@ from .contextual import (
     fit_weighted_mom,
     similarity_weights,
 )
-from .core import debias, fit_mom
+from .core import _located, debias, fit_mom
 from .diagnostics import METHODS, loo_table
 from .intervals import DEFAULT_BOOTSTRAP_DRAWS, _check_alpha, bootstrap_interval, plugin_interval
 
@@ -69,15 +68,6 @@ def _check_draws(draws: int) -> None:
         raise dataio.SchemaError(f"--draws must be >= 2 for the bootstrap, got {draws}")
 
 
-@contextlib.contextmanager
-def _values_of(where: str):
-    """Report a ``ValueError`` raised on input values as bad input in the files ``where`` names."""
-    try:
-        yield
-    except ValueError as exc:
-        raise dataio.SchemaError(f"{where}: {exc}") from None
-
-
 def _load_history_of_two(args: argparse.Namespace) -> list:
     """History for a command that compares rows with each other: at least 2 rows."""
     history = dataio.load_history(args.history)
@@ -88,10 +78,15 @@ def _load_history_of_two(args: argparse.Namespace) -> list:
     return history
 
 
+def _history_model(path: str):
+    """The moment fit of the history file at ``path``; a fit that fails names the file."""
+    history = dataio.load_history(path)
+    with _located(path):
+        return fit_mom(history)
+
+
 def _cmd_fit(args: argparse.Namespace) -> tuple[dict, dict]:
-    history = dataio.load_history(args.history)
-    with _values_of(args.history):
-        model = fit_mom(history)
+    model = _history_model(args.history)
     _emit_model_warnings(model)
     dataio.write_model(args.out, model)
     print(f"rho = {model.rho!r}")
@@ -107,16 +102,14 @@ def _cmd_adjust(args: argparse.Namespace) -> tuple[dict, dict]:
         raise dataio.SchemaError("give exactly one of --history or --model")
     target = dataio.load_target(args.target)
     if args.history is not None:
-        history = dataio.load_history(args.history)
-        with _values_of(args.history):
-            model = fit_mom(history)
+        model = _history_model(args.history)
     else:
         model = dataio.load_model(args.model)
     _emit_model_warnings(model)
 
     source = f"--history {args.history}" if args.history is not None else f"--model {args.model}"
     # the flags are checked above, so what is left is the target's and the model's values
-    with _values_of(f"--target {args.target} with {source}"):
+    with _located(f"--target {args.target} with {source}"):
         if args.method == "plugin":
             interval = plugin_interval(target, model, args.alpha)
         else:
@@ -150,7 +143,7 @@ def _cmd_loo(args: argparse.Namespace) -> tuple[dict, dict]:
         _check_draws(args.draws)
 
     # the flags are checked above, so what is left is the history's values
-    with _values_of(args.history):
+    with _located(args.history):
         rows = [
             (alpha, method, rate, width)
             for method in methods
@@ -194,16 +187,15 @@ def _cmd_tune_context(args: argparse.Namespace) -> tuple[dict, dict]:
             f"but {args.history} has {n_context} context_* column(s)"
         )
 
-    with _values_of(args.history):
+    with _located(args.history):
         profile = beta_profile(history, target_context, grid)
     beta_star, ll_star = best_beta(profile)
-    try:
+    # unusable weights score -inf, so if they fail here every bandwidth did
+    with _located(
+        f"{args.history}: every --beta-grid bandwidth scores -inf at --target-context "
+        f"{args.target_context!r}, and the first, {beta_star!r}, has no usable weights"
+    ):
         weights = similarity_weights([r.context for r in history], target_context, beta_star)
-    except ValueError as exc:  # unusable weights score -inf, so every bandwidth did
-        raise dataio.SchemaError(
-            f"{args.history}: every --beta-grid bandwidth scores -inf at --target-context "
-            f"{args.target_context!r}, and the first, {beta_star!r}, has no usable weights: {exc}"
-        ) from None
     model = fit_weighted_mom(history, weights)
     _emit_model_warnings(model)
 

@@ -9,6 +9,7 @@ method-of-moments fit.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass
 
@@ -23,6 +24,19 @@ WARN_GAMMA2_TRUNCATED = "gamma2_truncated"
 
 class InvalidRecordError(ValueError):
     """An aggregate record violates its variance/covariance constraints."""
+
+
+class SchemaError(ValueError):
+    """An input file fails validation; the message locates the offense."""
+
+
+@contextlib.contextmanager
+def _located(where: str):
+    """Report a ``ValueError`` raised inside as bad input at ``where``: a file, row or domain."""
+    try:
+        yield
+    except ValueError as exc:
+        raise SchemaError(f"{where}: {exc}") from None
 
 
 def _check_cov_block(domain_id: str, var_primary: float, var_proxy: float, cov: float) -> None:

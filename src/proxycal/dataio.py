@@ -21,7 +21,8 @@ from typing import TYPE_CHECKING, get_type_hints
 
 import numpy as np
 
-from .core import BiasModel, DomainRecord, InvalidRecordError, TargetRecord, _bias_model, _check_fit
+from .core import BiasModel, DomainRecord, InvalidRecordError, SchemaError, TargetRecord
+from .core import _bias_model, _check_fit, _located
 
 if TYPE_CHECKING:  # the simulator is imported only inside load_sim_configs
     from .simulation import CellResult, SimConfig
@@ -48,10 +49,6 @@ MODEL_FORMAT = "proxycal-bias-model-v1"
 _GRID_KEYS = ("kappa", "n_domains", "n_per_domain")
 
 
-class SchemaError(ValueError):
-    """An input file fails validation; the message locates the offense."""
-
-
 def _parse_float(value: str, path: str, row: int, column: str) -> float:
     try:
         number = float(value)
@@ -69,7 +66,7 @@ def _utf8_lines(path: str | Path):
     with Path(path).open(newline="", encoding="utf-8-sig") as fh:
         try:
             yield from fh
-        except UnicodeDecodeError as exc:
+        except UnicodeDecodeError as exc:  # raised while reading, not by a value check
             raise SchemaError(f"{path}: not UTF-8 text: {exc}") from None
 
 
@@ -109,7 +106,7 @@ def _read_records(path: str | Path, required: tuple[str, ...], record_type) -> l
                   for c, v in zip(header, row) if c != "domain_id"}
         context = tuple(values.pop(c) for c in context_cols) if context_cols else None
         timestamp = values.pop("timestamp", None)
-        try:
+        try:  # once a row: cheaper than _located and its eagerly formatted location
             record = record_type(row[id_col], **values, context=context, timestamp=timestamp)
         except InvalidRecordError as exc:
             raise SchemaError(f"{path}: row {line}: {exc}") from None
@@ -200,7 +197,10 @@ def load_model(path: str | Path) -> BiasModel:
     unknown = sorted(set(pairs) - known)
     if unknown:
         raise SchemaError(f"{path}: unknown model key(s): {', '.join(unknown)}")
-    try:
+    missing = sorted(known - set(pairs))
+    if missing:
+        raise SchemaError(f"{path}: missing model key(s): {', '.join(missing)}")
+    with _located(f"{path}: malformed model file"):
         stored = {
             "rho": float(pairs["rho"]),
             "gamma2": float(pairs["gamma2"]),
@@ -217,8 +217,6 @@ def load_model(path: str | Path) -> BiasModel:
         if not diffs:
             raise ValueError("diffs must be non-empty")
         model = _bias_model(np.array(diffs), np.array(diff_vars))
-    except (KeyError, ValueError) as exc:
-        raise SchemaError(f"{path}: malformed model file: {exc}") from None
     for key, value in stored.items():
         if getattr(model, key) != value:
             raise SchemaError(f"{path}: stored {key} = {pairs[key]!r}, but the fit of its "
@@ -269,13 +267,9 @@ def load_sim_configs(path: str | Path) -> list[SimConfig]:
             raise SchemaError(f"{path}: cannot parse {key} value {value!r}") from None
 
     grids = [kwargs.pop(key, [defaults[key]]) for key in _GRID_KEYS]
-    cells = []
-    try:
-        for cell in itertools.product(*grids):
-            cells.append(SimConfig(**dict(zip(_GRID_KEYS, cell)), **kwargs))
-    except ValueError as exc:
-        raise SchemaError(f"{path}: {exc}") from None
-    return cells
+    with _located(path):
+        return [SimConfig(**dict(zip(_GRID_KEYS, cell)), **kwargs)
+                for cell in itertools.product(*grids)]
 
 
 def write_results(path: str | Path, cells: list[CellResult]) -> None:
