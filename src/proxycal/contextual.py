@@ -47,7 +47,7 @@ def _check_weights(w: np.ndarray) -> None:
     """Raise unless ``w`` is finite and nonnegative and, added left to right, sums to one."""
     if not np.isfinite(w).all() or (w < 0).any():
         raise ValueError("weights must be finite and nonnegative")
-    total = sum(w.tolist())
+    total = np.cumsum(w)[-1] if len(w) else 0  # Python's sum compensates from 3.12
     if abs(total - 1.0) > _SUM_TOL:
         raise ValueError(f"weights must sum to 1, got {total}")
 

@@ -5,6 +5,10 @@ estimate, a proxy estimate, and their 2x2 sampling covariance. The proxy's
 residual bias is modeled as a domain-level random effect with mean ``rho`` and
 between-domain variance ``gamma2``, both recovered by a closed-form
 method-of-moments fit.
+
+Bad input raises :class:`InvalidRecordError` (a record) or :class:`SchemaError`
+(a file); :func:`_located` re-raises any ``ValueError`` from inside it as a
+``SchemaError`` that names where the input came from.
 """
 
 from __future__ import annotations

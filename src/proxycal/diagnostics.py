@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._rng import derive_seed
-from .core import DomainRecord, _diffs, _moments, _record_columns, _truncate
+from .core import DomainRecord, _diffs, _located, _moments, _record_columns, _truncate
 from .intervals import DEFAULT_BOOTSTRAP_DRAWS, _bootstrap_endpoints, _check_alpha, _wald_endpoints
 
 METHODS = ("unadjusted", "plugin", "bootstrap")
@@ -68,20 +68,24 @@ def _loo_endpoints(
             proxy = _wald_endpoints(theta_star - rho, var_proxy + gamma2, alphas)
     else:
         proxy = np.empty((2, len(alphas), len(history)))
-        for k in range(len(history)):
-            proxy[:, :, k] = _bootstrap_endpoints(
-                np.delete(d, k), np.delete(dv, k), theta_star[k], var_proxy[k],
-                alphas, bootstrap_draws, derive_seed(seed, k),
-            )
-    if not np.isfinite(proxy).all():
-        raise ValueError("held-out proxy interval endpoints must be finite")
+        for k, record in enumerate(history):
+            with _located(f"held out domain {record.domain_id!r}"):
+                proxy[:, :, k] = _bootstrap_endpoints(
+                    np.delete(d, k), np.delete(dv, k), theta_star[k], var_proxy[k],
+                    alphas, bootstrap_draws, derive_seed(seed, k),
+                )
+    finite = np.isfinite(proxy).all(axis=(0, 1))
+    if not finite.all():
+        domain_id = history[int(finite.argmin())].domain_id
+        raise ValueError(f"held out domain {domain_id!r}: proxy interval endpoints must be finite")
     return (*proxy, *primary)
 
 
 def _mean_width(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Mean width of each row's intervals, added left to right as Python's ``sum``.
+    """Mean width of each row's intervals, the widths added strictly left to right.
 
-    numpy's pairwise sum would round differently.
+    numpy's pairwise ``sum`` would round differently, and so would Python's
+    ``sum``, which compensates from 3.12 on.
     """
     return np.cumsum(upper - lower, axis=1)[:, -1] / lower.shape[1]
 

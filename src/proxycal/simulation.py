@@ -31,7 +31,13 @@ import numpy as np
 
 from ._rng import derive_seed, substream
 from .core import TargetRecord, _bias_model, _diffs
-from .intervals import _check_alpha, bootstrap_interval, plugin_interval, wald_interval
+from .intervals import (
+    DEFAULT_BOOTSTRAP_DRAWS,
+    _check_alpha,
+    bootstrap_interval,
+    plugin_interval,
+    wald_interval,
+)
 
 ESTIMATORS = ("primary_only", "proxy_only", "ppi", "ppi_weighted")
 ADJUSTMENTS = ("none", "plugin", "bootstrap")
@@ -63,7 +69,7 @@ class SimConfig:
     replicates: int = 1000
     alpha: float = 0.05
     seed: int = 0
-    bootstrap_draws: int = 4000
+    bootstrap_draws: int = DEFAULT_BOOTSTRAP_DRAWS
     estimators: tuple[str, ...] = ESTIMATORS
     adjustments: tuple[str, ...] = ADJUSTMENTS
     workers: int = 1

@@ -313,6 +313,25 @@ class TestModelFile:
         assert str(path) in err and f"{key} must be finite" in err
 
 
+    # line 6 holds diffs and line 7 diff_vars; None drops the key's line
+    @pytest.mark.parametrize("lines, message", [
+        ({"diff_vars": "diff_vars 0.0,0.0,0.0"}, "line 7: expected 'key = value'"),
+        ({"diffs": "diffs = ", "diff_vars": "diff_vars = "},
+         "malformed model file: diffs must be non-empty"),
+        ({"gamma2": None, "diff_vars": None}, "missing model key(s): diff_vars, gamma2"),
+    ], ids=["line-without-equals", "empty-diffs", "missing-keys"])
+    def test_malformed_model_file_exit_2_names_file(self, tmp_path, capsys, lines, message):
+        path = tmp_path / "model.txt"
+        write_model(path, BiasModel(0.02, 0.0005, 3, (0.02,) * 3, (0.0,) * 3))
+        text = [lines.get(ln.split(" = ")[0], ln) for ln in path.read_text().splitlines()]
+        path.write_text("".join(f"{ln}\n" for ln in text if ln is not None))
+        out = tmp_path / "i.txt"
+        code = main(["adjust", "--model", str(path), "--target", str(target_csv(tmp_path)),
+                     "--out", str(out)])
+        assert code == 2
+        assert capsys.readouterr() == ("", f"error: {path}: {message}\n")
+        assert not out.exists() and not manifest_path(out).exists()
+
     # (theta_hat, difference, var_primary, var_proxy, correlation) per domain
     DOMAIN = st.tuples(st.floats(0.0, 1.0), st.floats(-0.5, 0.5), st.floats(0.0, 0.05),
                        st.floats(0.0, 0.05), st.floats(-1.0, 1.0))
@@ -429,6 +448,13 @@ class TestSimConfigFile:
         (cfg,) = load_sim_configs(write(tmp_path / "cfg.txt", body))
         assert getattr(cfg, field.name) == value
 
+    def test_empty_grid_value_exit_2_names_file(self, tmp_path, capsys):
+        path = write(tmp_path / "cfg.txt", "n_domains = 3\nn_per_domain = 10\nkappa = ,\n")
+        out = tmp_path / "r.csv"
+        assert main(["simulate", str(path), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", f"error: {path}: empty value for 'kappa'\n")
+        assert not out.exists() and not manifest_path(out).exists()
+
     def test_unparseable_value_named(self, tmp_path):
         for line in ("kappa = 0.0,x", "mu_target = 0.5,,0.5,0.5", "replicates = 2.5"):
             path = write(tmp_path / "cfg.txt", f"n_domains = 5\nn_per_domain = 10\n{line}\n")
@@ -492,7 +518,9 @@ class TestCliFit:
         rows = [THREE_ROWS[0], f"b,{big},-{big},0.005,0.005,0.0025", THREE_ROWS[2]]
         hist, argv = history_argv(tmp_path, command, rows)
         assert main(argv) == 2
-        message = messages.get(command, "{hist}: held-out proxy interval endpoints must be finite")
+        message = messages.get(
+            command, "{hist}: held out domain 'a': proxy interval endpoints must be finite"
+        )
         assert capsys.readouterr().err == f"error: {message.format(hist=hist)}\n"
         assert not (tmp_path / "out.txt").exists()
         assert not manifest_path(tmp_path / "out.txt").exists()
@@ -735,7 +763,9 @@ class TestCliLoo:
                      "--out", str(out)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: {hist}: bootstrap replicates must be finite: ")
+        assert captured.err.startswith(
+            f"error: {hist}: held out domain 'a': bootstrap replicates must be finite: "
+        )
         assert captured.err.count("\n") == 1
         assert not out.exists() and not manifest_path(out).exists()
 
@@ -1009,6 +1039,18 @@ class TestFlagValues:
         argv = argv.format(history=context_history(tmp_path)).split()
         assert main(argv + ["--out", str(out)]) == 2
         assert f"{flag} needs at least one value" in capsys.readouterr().err
+        assert not out.exists() and not manifest_path(out).exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--alpha", "abc", "cannot parse --alpha value 'abc'"),
+        ("--method", "magic",
+         "unknown method 'magic'; choose from ('unadjusted', 'plugin', 'bootstrap')"),
+    ])
+    def test_unknown_loo_flag_value_exit_2(self, tmp_path, capsys, flag, value, message):
+        out = tmp_path / "out.txt"
+        argv = ["loo", str(context_history(tmp_path)), flag, value, "--out", str(out)]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
         assert not out.exists() and not manifest_path(out).exists()
 
     def test_draws_unchecked_without_bootstrap(self, tmp_path):

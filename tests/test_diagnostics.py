@@ -173,7 +173,7 @@ class TestLooOverlapRate:
         # rejected by its record (test_core). The bootstrap rejects its replicates
         # before it takes their quantiles, and warns of nothing.
         history = matched_history() + [DomainRecord("big", -1e200, 1e200, 0.001, 0.001, 0.0)]
-        message = {"plugin": "held-out proxy interval endpoints must be finite",
+        message = {"plugin": "held out domain 'd0': proxy interval endpoints must be finite",
                    "bootstrap": "bootstrap replicates must be finite"}[method]
         with pytest.raises(ValueError, match=message):
             loo_table(history, [0.05], method, bootstrap_draws=50)
@@ -187,7 +187,9 @@ class TestLooOverlapRate:
     def test_overflowing_held_out_plugin_interval_errors(self, a, others):
         history = [DomainRecord(*a)] + [DomainRecord(f"d{i}", 0.0, d, 1.0, 1.0, 0.0)
                                         for i, d in enumerate(others)]
-        with pytest.raises(ValueError, match="held-out proxy interval endpoints must be finite"):
+        with pytest.raises(
+            ValueError, match="held out domain 'a': proxy interval endpoints must be finite"
+        ):
             loo_table(history, [0.05], "plugin")
 
     def test_unknown_method_error(self):

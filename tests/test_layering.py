@@ -102,6 +102,34 @@ def test_only_intervals_turns_replicates_into_endpoints(kernel):
     assert {m for m in LAYER if kernel in constructed_names(m)} == {"intervals"}
 
 
+def schema_error_converters(module: str) -> set[str]:
+    """``module.f`` for each function ``f`` with an ``except ... as exc`` handler
+    that raises a ``SchemaError`` built from ``exc``."""
+    tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+    found = set()
+    for func in ast.walk(tree):
+        if not isinstance(func, ast.FunctionDef):
+            continue
+        for handler in ast.walk(func):
+            if not isinstance(handler, ast.ExceptHandler) or handler.name is None:
+                continue
+            for node in ast.walk(handler):
+                if (
+                    isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+                    and ast.unparse(node.exc.func).split(".")[-1] == "SchemaError"
+                    and any(isinstance(n, ast.Name) and n.id == handler.name
+                            for n in ast.walk(node.exc))
+                ):
+                    found.add(f"{module}.{func.name}")
+    return found
+
+
+# core._located is the one place that prefixes a ValueError with its input's
+# location; the per-row record check and the decoding error keep their own
+def test_one_input_error_locator():
+    converters = set().union(*(schema_error_converters(m) for m in LAYER))
+    assert converters == {"core._located", "dataio._read_records", "dataio._utf8_lines"}
+
 def test_parser_sees_every_import_form():
     imports = package_imports("cli")
     assert {"dataio", "contextual", "core", "diagnostics", "intervals", "simulation"} <= imports
