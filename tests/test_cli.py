@@ -312,7 +312,6 @@ class TestModelFile:
         err = capsys.readouterr().err
         assert str(path) in err and f"{key} must be finite" in err
 
-
     # line 6 holds diffs and line 7 diff_vars; None drops the key's line
     @pytest.mark.parametrize("lines, message", [
         ({"diff_vars": "diff_vars 0.0,0.0,0.0"}, "line 7: expected 'key = value'"),

@@ -130,6 +130,7 @@ def test_one_input_error_locator():
     converters = set().union(*(schema_error_converters(m) for m in LAYER))
     assert converters == {"core._located", "dataio._read_records", "dataio._utf8_lines"}
 
+
 def test_parser_sees_every_import_form():
     imports = package_imports("cli")
     assert {"dataio", "contextual", "core", "diagnostics", "intervals", "simulation"} <= imports
